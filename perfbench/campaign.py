@@ -20,12 +20,15 @@ import os
 import random
 import threading
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .common import (Result, Size, machine_signature, median, peak_rss_mb,
-                     quantile)
+                     repeat_setup, usable_cores)
 from . import layers
+from .speed import PROBES_PER_SETUP, HostSpeed, add_host_times
 from .trace import Tracer, client_plan
+
+PROBES_PER_CAMPAIGN = 5
 
 
 def reference_key(size: Size, pattern_set: int) -> str:
@@ -78,17 +81,34 @@ def _campaign(inputs, workers: Optional[int]):
     return time.perf_counter() - begin, report
 
 
-def _campaigns(inputs, seconds: float, expected: str,
-               result: Result) -> List[float]:
-    """Campaigns back to back until ``seconds`` have passed."""
+def _campaigns(inputs, seconds: float, expected: str, result: Result,
+               speed: Optional[HostSpeed] = None) -> List[float]:
+    """Campaigns back to back until ``seconds`` have passed, with the
+    host-speed probe before each one when ``speed`` is given."""
     times: List[float] = []
     begin = time.perf_counter()
     while not times or time.perf_counter() - begin < seconds:
+        if speed is not None:
+            speed.sample(PROBES_PER_CAMPAIGN)
         elapsed, report = _campaign(inputs, None)
         result.check(report_digest(report) == expected,
                      "campaign report digest differs from the oracle")
         times.append(elapsed)
     return times
+
+
+def fanout_efficiency(untraced_1: float, untraced_n: float,
+                      workers: int) -> Tuple[Optional[float], List[str]]:
+    """1-worker time / (workers x N-worker time), or skipped reasons.
+
+    The bar cannot bind with one usable core (a cpuset or affinity mask
+    of one), even when the pool forks one worker per core of the host.
+    """
+    if usable_cores() <= 1:
+        return None, ["parallel.fanout_efficiency: one usable core"]
+    if workers <= 1:
+        return None, ["parallel.fanout_efficiency: one worker"]
+    return untraced_1 / (workers * untraced_n), []
 
 
 def run(size: Size, seed: int, seconds: float, traced: bool,
@@ -105,65 +125,58 @@ def run(size: Size, seed: int, seconds: float, traced: bool,
         tracer.install(client_plan)
         tracer.name_lane("benchmark main")
 
-    setups: List[float] = []
-    for _ in range(size.setup_repeats):
-        begin = time.perf_counter()
-        inputs = build_inputs(size, pattern_set)
-        end = time.perf_counter()
-        setups.append(end - begin)
-        if tracer:
-            tracer.phase("setup", begin, end)
+    # The pool runs ``workers`` processes at once; so does the probe.
+    speed, setup_speed = HostSpeed(workers), HostSpeed()
+    setups, inputs = repeat_setup(
+        size, lambda: build_inputs(size, pattern_set), tracer,
+        after=None if tracer else
+        lambda: setup_speed.sample(PROBES_PER_SETUP))
     key = reference_key(size, pattern_set)
     expected = reference.get("campaign", {}).get(key)
     if expected is None:
         result.check(False, f"no committed reference for {key}")
 
     if not tracer:
-        times = _campaigns(inputs, seconds, expected, result)
+        times = _campaigns(inputs, seconds, expected, result, speed)
         faults, patterns = len(inputs[1]), len(inputs[2])
-        result.add("op_p50_ms", median(times) * 1e3, "ms")
-        result.add("op_p99_ms", quantile(times, 0.99) * 1e3, "ms")
-        result.add("work_per_s", faults * patterns / median(times), "1/s")
-        result.add("setup_s", median(setups), "s")
+        add_host_times(result, times, speed, setups, setup_speed,
+                       faults * patterns)
         result.add("peak_rss_mb", peak_rss_mb(), "MB")
         result.info["campaign_times_s"] = times
         return result
 
-    # Traced run: untraced reference campaigns first (N workers, then
-    # one worker for the fan-out efficiency), then traced campaigns.
+    # Traced run: a one-worker campaign for the fan-out efficiency,
+    # then untraced and traced N-worker campaigns in turn, so tracing
+    # overhead compares two medians taken over the same stretch.
     tracer.uninstall()
-    untraced_n, report_n = _campaign(inputs, None)
-    untraced_1, report_1 = _campaign(inputs, 1)
-    for report in (report_n, report_1):
-        result.check(report_digest(report) == expected,
-                     "untraced campaign report digest differs")
-    tracer.install(client_plan)
-    begin = time.perf_counter()
-    times = _campaigns(inputs, max(0.0, seconds - untraced_n - untraced_1),
-                       expected, result)
-    end = time.perf_counter()
-    tracer.phase("measure", begin, end)
-    tracer.uninstall()
+    untraced_1, report = _campaign(inputs, 1)
+    result.check(report_digest(report) == expected,
+                 "one-worker campaign report digest differs")
+    untraced: List[float] = []
+    times: List[float] = []
+    start = time.perf_counter()
+    while len(times) < 2 or time.perf_counter() - start < seconds:
+        untraced += _campaigns(inputs, 0.0, expected, result)
+        tracer.install(client_plan)
+        begin = time.perf_counter()
+        times += _campaigns(inputs, 0.0, expected, result)
+        end = time.perf_counter()
+        tracer.uninstall()
+        tracer.phase("measure", begin, end)
 
     index = layers.SpanIndex(tracer.spans)
     layers.add_layer_metrics(
-        result, index, (begin, end), tracer.phases["setup"],
+        result, index, tracer.phases["measure"], tracer.phases["setup"],
         {(os.getpid(), threading.get_ident())})
-    skipped = []
-    if workers > 1:
-        result.add("parallel.fanout_efficiency",
-                   untraced_1 / (workers * untraced_n), "ratio")
-    else:
-        result.add("parallel.fanout_efficiency", 0.0, "ratio")
-        skipped.append("parallel.fanout_efficiency: one worker per core "
-                       "is one worker here")
-    traced_unit = median(times)
-    result.add("trace.untraced_unit_s", untraced_n, "s")
-    result.add("trace.traced_unit_s", traced_unit, "s")
-    result.add("trace.overhead_s", traced_unit - untraced_n, "s")
+    efficiency, skipped = fanout_efficiency(untraced_1, median(untraced),
+                                            workers)
+    result.add("parallel.fanout_efficiency", efficiency or 0.0, "ratio")
+    result.add("trace.untraced_unit_s", median(untraced), "s")
+    result.add("trace.traced_unit_s", median(times), "s")
+    result.add("trace.overhead_s", median(times) - median(untraced), "s")
     result.info["skipped"] = skipped
     result.info["campaign_times_s"] = times
-    result.info["untraced_campaign_s"] = {"workers_n": untraced_n,
+    result.info["untraced_campaign_s"] = {"workers_n": untraced,
                                           "workers_1": untraced_1}
     result.info["lanes"] = layers.lane_report(index, tracer.lane_names)
     result.info["tracer"] = tracer

@@ -8,8 +8,10 @@ import os
 import platform
 import resource
 import sys
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    TypeVar)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCE = os.path.join(ROOT, "src")
@@ -30,42 +32,72 @@ def add_source_path() -> None:
 
 @dataclass(frozen=True)
 class Size:
-    """Input sizes of every workload (the benchmark's and the tests')."""
+    """Input sizes of every workload (the benchmark's and the tests').
+
+    Set-up runs at least ``setup_repeats`` times and until
+    ``setup_seconds`` have passed; ``setup_s`` is the median.
+    """
 
     setup_repeats: int
+    setup_seconds: float
     campaign_bench: str
     campaign_patterns: int
     campaign_pattern_sets: int
     cosim_width: int
     cosim_min_patterns: int
     cosim_lengths: int
-    serve_width: int
-    serve_bench: str
     serve_patterns: int
-    serve_pairs: int
     serve_rates: Tuple[float, ...]
     serve_base_share: float
-    serve_p99_limit_ms: float
 
 
 SIZES: Dict[str, Size] = {
     "full": Size(
-        setup_repeats=3,
+        setup_repeats=3, setup_seconds=5.0,
         campaign_bench="mult16", campaign_patterns=256,
         campaign_pattern_sets=8,
         cosim_width=16, cosim_min_patterns=200, cosim_lengths=4,
-        serve_width=8, serve_bench="alu8", serve_patterns=64,
-        serve_pairs=5, serve_rates=(25.0, 35.0, 50.0, 70.0),
-        serve_base_share=0.6, serve_p99_limit_ms=60.0),
+        serve_patterns=64, serve_rates=(25.0, 35.0, 50.0, 70.0),
+        serve_base_share=0.6),
     "tiny": Size(
-        setup_repeats=1,
+        setup_repeats=1, setup_seconds=0.0,
         campaign_bench="alu8", campaign_patterns=32,
         campaign_pattern_sets=2,
         cosim_width=4, cosim_min_patterns=8, cosim_lengths=2,
-        serve_width=8, serve_bench="alu8", serve_patterns=16,
-        serve_pairs=5, serve_rates=(20.0, 40.0),
-        serve_base_share=0.5, serve_p99_limit_ms=60.0),
+        serve_patterns=16, serve_rates=(20.0, 40.0),
+        serve_base_share=0.5),
 }
+
+
+T = TypeVar("T")
+
+
+def repeat_setup(size: Size, step: Callable[[], T], tracer: Any = None,
+                 release: Optional[Callable[[T], None]] = None,
+                 after: Optional[Callable[[], None]] = None
+                 ) -> Tuple[List[float], T]:
+    """Time ``step`` repeatedly; returns every time and the last value.
+
+    ``release`` disposes of an earlier repeat's value and ``after``
+    runs after every repeat, both untimed.  Each repeat is marked as a
+    ``setup`` phase on ``tracer``.
+    """
+    times: List[float] = []
+    value = None
+    first = time.perf_counter()
+    while (len(times) < size.setup_repeats
+           or time.perf_counter() - first < size.setup_seconds):
+        if times and release is not None:
+            release(value)
+        begin = time.perf_counter()
+        value = step()
+        end = time.perf_counter()
+        times.append(end - begin)
+        if tracer is not None:
+            tracer.phase("setup", begin, end)
+        if after is not None:
+            after()
+    return times, value
 
 
 # ----------------------------------------------------------------------
@@ -114,12 +146,17 @@ def git_sha() -> Optional[str]:
     return None
 
 
+def usable_cores() -> int:
+    """Cores this process may run on (affinity mask, cpuset)."""
+    return len(os.sched_getaffinity(0))
+
+
 def machine_signature(workers: int) -> Dict[str, object]:
     """Core count, interpreter and library versions, commit, workers."""
     import numpy
     return {
         "cores": os.cpu_count(),
-        "usable_cores": len(os.sched_getaffinity(0)),
+        "usable_cores": usable_cores(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "platform": platform.platform(),

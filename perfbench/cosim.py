@@ -22,11 +22,12 @@ import json
 import os
 import threading
 import time
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .common import (Result, Size, machine_signature, median, peak_rss_mb,
-                     quantile)
+                     repeat_setup)
 from . import layers
+from .speed import PROBES_PER_SETUP, HostSpeed, add_host_times
 from .trace import Tracer, client_plan
 
 
@@ -83,8 +84,9 @@ def row_outputs(rows) -> List[Dict[str, object]]:
 
 
 def _passes(size: Size, length: int, seconds: float, expected,
-            result: Result):
-    """Table 2 passes until ``seconds`` have passed; returns the host
+            result: Result, speed: Optional[HostSpeed] = None):
+    """Table 2 passes until ``seconds`` have passed, with the host-speed
+    probe before each row when ``speed`` is given; returns the host
     seconds of every pass and of every row, and the first pass's rows."""
     times: List[float] = []
     row_times: List[float] = []
@@ -93,6 +95,8 @@ def _passes(size: Size, length: int, seconds: float, expected,
     while not times or time.perf_counter() - begin < seconds:
         rows = []
         for mode, network in table2_rows():
+            if speed is not None:
+                speed.sample()
             start = time.perf_counter()
             rows.append(run_row(size, length, mode, network))
             row_times.append(time.perf_counter() - start)
@@ -122,43 +126,41 @@ def run(size: Size, seed: int, seconds: float, traced: bool,
         tracer.install(client_plan)
         tracer.name_lane("benchmark main")
 
-    setups: List[float] = []
-    for _ in range(size.setup_repeats):
-        begin = time.perf_counter()
-        set_up(size)
-        end = time.perf_counter()
-        setups.append(end - begin)
-        if tracer:
-            tracer.phase("setup", begin, end)
-
-    untraced = None
-    if tracer:
-        tracer.uninstall()
-        start = time.perf_counter()
-        run_rows(size, length)
-        untraced = time.perf_counter() - start
-        seconds = max(0.0, seconds - untraced)
-        tracer.install(client_plan)
-    begin = time.perf_counter()
-    times, row_times, first = _passes(size, length, seconds, expected,
-                                      result)
-    end = time.perf_counter()
+    speed, setup_speed = HostSpeed(), HostSpeed()
+    setups, _ = repeat_setup(
+        size, lambda: set_up(size), tracer,
+        after=None if tracer else
+        lambda: setup_speed.sample(PROBES_PER_SETUP))
 
     if not tracer:
+        times, row_times, first = _passes(size, length, seconds, expected,
+                                          result, speed)
         events = sum(row.events for row in first)
-        result.add("op_p50_ms", median(times) * 1e3, "ms")
-        result.add("op_p99_ms", quantile(times, 0.99) * 1e3, "ms")
-        result.add("work_per_s", events / median(times), "1/s")
-        result.add("setup_s", median(setups), "s")
+        add_host_times(result, times, speed, setups, setup_speed, events)
         result.add("peak_rss_mb", peak_rss_mb(), "MB")
         result.info["pass_times_s"] = times
         result.info["row_times_s"] = row_times
         return result
 
-    tracer.phase("measure", begin, end)
+    # Untraced and traced passes in turn, so tracing overhead compares
+    # two medians taken over the same stretch.
     tracer.uninstall()
+    untraced: List[float] = []
+    times: List[float] = []
+    start = time.perf_counter()
+    while len(times) < 2 or time.perf_counter() - start < seconds:
+        untraced += _passes(size, length, 0.0, expected, result)[0]
+        tracer.install(client_plan)
+        begin = time.perf_counter()
+        traced_times, _, first = _passes(size, length, 0.0, expected,
+                                         result)
+        end = time.perf_counter()
+        tracer.uninstall()
+        tracer.phase("measure", begin, end)
+        times += traced_times
+
     index = layers.SpanIndex(tracer.spans)
-    layers.add_layer_metrics(result, index, (begin, end),
+    layers.add_layer_metrics(result, index, tracer.phases["measure"],
                              tracer.phases["setup"],
                              {(os.getpid(), threading.get_ident())})
     # Simulated real time is deterministic per stimulus length: a
@@ -168,11 +170,11 @@ def run(size: Size, seed: int, seconds: float, traced: bool,
                "count")
     result.add("rmi.wire_bytes", sum(row.remote_bytes for row in first),
                "bytes")
-    traced_unit = median(times)
-    result.add("trace.untraced_unit_s", untraced, "s")
-    result.add("trace.traced_unit_s", traced_unit, "s")
-    result.add("trace.overhead_s", traced_unit - untraced, "s")
+    result.add("trace.untraced_unit_s", median(untraced), "s")
+    result.add("trace.traced_unit_s", median(times), "s")
+    result.add("trace.overhead_s", median(times) - median(untraced), "s")
     result.info["pass_times_s"] = times
+    result.info["untraced_pass_times_s"] = untraced
     result.info["lanes"] = layers.lane_report(index, tracer.lane_names)
     result.info["tracer"] = tracer
     return result

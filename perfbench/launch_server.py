@@ -13,10 +13,15 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import sys
 
 
 def main(argv) -> int:
+    # A process started from a shell's background job inherits SIGINT
+    # ignored, and Python then never raises KeyboardInterrupt: the
+    # server would not stop when the benchmark asks it to.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     if "--" not in argv:
         print("usage: launch_server.py --out FILE [--trace] -- serve ...",
               file=sys.stderr)

@@ -3,15 +3,18 @@
 Every layer is a top-level package of the program (``gates``,
 ``compiled``, ``rmi`` ...); a span's layer is the part of its name
 before the first dot.  A span's *self time* is its duration minus the
-durations of its children on the same thread.  Over one thread lane,
-the self times of all its spans add up to the time covered by its
-top-level spans, so
+durations of its children on the same thread.
+
+``trace.unattributed_s`` is measured on its own: for each of the
+benchmark's lanes (its threads that run for the whole measured
+windows), the part of the windows that no top-level span of that lane
+covers.  When every span is recorded once and nests inside its parent,
 
     sum of <layer>.self_s + trace.unattributed_s == trace.wall_s
 
-holds exactly over the benchmark's own lanes (its threads that run for
-the whole measured window); the remainder is benchmark code between
-program calls, or a load generator waiting for its next due time.
+and the remainder is benchmark code between program calls, or a load
+generator waiting for its next due time.  A span counted twice, or a
+child that outlasts its parent, breaks the identity.
 """
 
 from __future__ import annotations
@@ -49,12 +52,19 @@ class SpanIndex:
     def self_time(self, span: Span) -> float:
         return (span[4] - span[3]) - self.child_time.get(span[0], 0.0)
 
-    def within(self, window: Window,
+    def within(self, windows: Sequence[Window],
                lanes: Optional[Set[Lane]] = None) -> List[Span]:
-        low, high = window
+        """Spans that lie wholly inside one of ``windows``."""
         return [span for span in self.spans
-                if low <= span[3] and span[4] <= high
+                if any(low <= span[3] and span[4] <= high
+                       for low, high in windows)
                 and (lanes is None or (span[5], span[6]) in lanes)]
+
+    def top_level(self, spans: Iterable[Span]) -> List[Span]:
+        """Spans whose parent is not on their own lane."""
+        return [span for span in spans
+                if self.by_id.get(span[1]) is None
+                or self.by_id[span[1]][5:7] != span[5:7]]
 
     def outermost(self, spans: Iterable[Span], name: str) -> List[Span]:
         """Spans named ``name`` with no same-named ancestor."""
@@ -79,19 +89,29 @@ class SpanIndex:
                    if span[2] == name)
 
 
+def covered(intervals: Iterable[Tuple[float, float]]) -> float:
+    """Length of the union of ``intervals``."""
+    total, reach = 0.0, -float("inf")
+    for start, end in sorted(intervals):
+        if end > reach:
+            total += end - max(start, reach)
+            reach = end
+    return total
+
+
 def add_layer_metrics(result: Result, index: SpanIndex,
-                      measure: Window, setups: Sequence[Window],
+                      measures: Sequence[Window], setups: Sequence[Window],
                       bench_lanes: Set[Lane]) -> None:
     """Every workload-independent per-layer metric of one traced run."""
     for name, metric in (("gates.load_bench", "gates.load_bench_s"),
                          ("faults.build_fault_list",
                           "faults.build_fault_list_s"),
                          ("ip.publish", "ip.publish_s")):
-        per_setup = [index.total(index.within(window), name)[0]
+        per_setup = [index.total(index.within([window]), name)[0]
                      for window in setups]
         result.add(metric, median(per_setup) if per_setup else 0.0, "s")
 
-    spans = index.within(measure)
+    spans = index.within(measures)
     for name in ("compiled.compile", "compiled.run_fault",
                  "compiled.run_good", "core.start", "rmi.invoke",
                  "rmi.marshal", "ip.power_servant", "power.toggle",
@@ -128,14 +148,18 @@ def add_layer_metrics(result: Result, index: SpanIndex,
                1.0 - busy / capacity if capacity else 0.0, "share")
 
     self_by_layer: Dict[str, float] = defaultdict(float)
-    for span in index.within(measure, bench_lanes):
+    lane_spans = index.within(measures, bench_lanes)
+    for span in lane_spans:
         self_by_layer[layer_of(span[2])] += index.self_time(span)
-    wall = (measure[1] - measure[0]) * len(bench_lanes)
+    wall = sum(high - low for low, high in measures) * len(bench_lanes)
+    lanes_busy = sum(covered((span[3], span[4])
+                             for span in index.top_level(lane_spans)
+                             if span[5:7] == lane)
+                     for lane in bench_lanes)
     for layer in LAYERS:
         result.add(f"{layer}.self_s", self_by_layer.get(layer, 0.0), "s")
-    attributed = sum(self_by_layer.values())
     result.add("trace.wall_s", wall, "s")
-    result.add("trace.unattributed_s", wall - attributed, "s")
+    result.add("trace.unattributed_s", wall - lanes_busy, "s")
     result.info["self_by_layer"] = dict(self_by_layer)
 
 
@@ -147,10 +171,8 @@ def lane_report(index: SpanIndex, labels: Dict[Lane, str]
         lanes[(span[5], span[6])].append(span)
     report = []
     for lane, spans in sorted(lanes.items()):
-        top = [span for span in spans
-               if index.by_id.get(span[1]) is None
-               or index.by_id[span[1]][5:7] != lane]
-        busy = sum(span[4] - span[3] for span in top)
+        busy = covered((span[3], span[4])
+                       for span in index.top_level(spans))
         active = max(span[4] for span in spans) - min(span[3]
                                                       for span in spans)
         report.append({"pid": lane[0], "tid": lane[1],

@@ -6,11 +6,11 @@ drives it over two connections at once:
 
 * an **open-loop interactive stream** of ER-shaped
   ``MultFastLowPower.power.power_buffer`` calls, each carrying
-  ``serve_pairs`` pattern pairs (the paper's buffer).  It steps through
+  ``PAIRS`` pattern pairs (the paper's buffer).  It steps through
   a fixed ladder of rates; each call is timed from when it was *due*,
   so a stall also delays the calls queued behind it;
 * a **closed-loop batch tenant** running
-  ``remote_fault_simulate(serve_bench, serve_patterns, engine=
+  ``remote_fault_simulate(FARM_BENCH, serve_patterns, engine=
   "compiled")`` campaigns back to back on the same server.
 
 The interactive tail beside the batch tenant is what serializing
@@ -25,6 +25,7 @@ must match an in-process ``PowerServant`` fed the same calls.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -40,12 +41,23 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from .common import (OUT_DIR, ROOT, Result, Size, machine_signature,
-                     median, peak_rss_mb, quantile)
+                     median, peak_rss_mb, quantile, repeat_setup)
 from . import layers
+from .speed import PROBES_PER_SETUP, HostSpeed
 from .trace import Tracer, client_plan, load_spans
 
 TOKEN = "perfbench-serve-token"
 POWER_OBJECT = "MultFastLowPower.power"
+WIDTH = 8
+"""Operand width of the served multiplier."""
+PAIRS = 5
+"""Pattern pairs per interactive ``power_buffer`` call."""
+FARM_BENCH = "alu8"
+"""The batch tenant's fault-farm netlist."""
+P99_LIMIT_MS = 60.0
+"""Interactive p99 limit of ``load.interactive_max_rps``: met at the
+lowest rung and missed at the top rung by the program this benchmark
+was first measured on."""
 LAUNCHER = os.path.join(ROOT, "perfbench", "launch_server.py")
 START_TIMEOUT = 60.0
 STOP_TIMEOUT = 30.0
@@ -54,13 +66,13 @@ STOP_TIMEOUT = 30.0
 class Server:
     """One ``repro serve`` subprocess started through the launcher."""
 
-    def __init__(self, size: Size, traced: bool, tag: str):
+    def __init__(self, traced: bool, tag: str):
         os.makedirs(OUT_DIR, exist_ok=True)
         self.out = os.path.join(OUT_DIR, f"server-{tag}.json")
         command = [sys.executable, LAUNCHER, "--out", self.out]
         if traced:
             command.append("--trace")
-        command += ["--", "serve", "--width", str(size.serve_width),
+        command += ["--", "serve", "--width", str(WIDTH),
                     "--engine", "compiled", "--auth-token", TOKEN,
                     "--port", "0"]
         self.process = subprocess.Popen(
@@ -110,12 +122,11 @@ class Server:
         self.process.communicate()
 
 
-def start_server(size: Size, traced: bool, tag: str) -> Tuple[Server, float]:
-    """Start a server; the time until it accepts an authenticated client."""
+def start_server(traced: bool, tag: str) -> Server:
+    """Start a server and wait until it accepts an authenticated client."""
     from repro.rmi.transport import TcpTransport
 
-    begin = time.perf_counter()
-    server = Server(size, traced, tag)
+    server = Server(traced, tag)
     try:
         probe = TcpTransport(server.host, server.port, token=TOKEN)
         probe.connect()
@@ -123,7 +134,7 @@ def start_server(size: Size, traced: bool, tag: str) -> Tuple[Server, float]:
     except BaseException:
         server.kill()
         raise
-    return server, time.perf_counter() - begin
+    return server
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +186,8 @@ def rung_schedule(size: Size, begin: float, seconds: float) -> List[Rung]:
     return rungs
 
 
-def interactive(server: Server, size: Size, seed: int,
-                rungs: List[Rung], tracer: Optional[Tracer],
+def interactive(server: Server, seed: int, rungs: List[Rung],
+                tracer: Optional[Tracer],
                 connection: List[Any]) -> None:
     """Open-loop power_buffer stream over one connection."""
     from repro.core.errors import RemoteError
@@ -205,9 +216,8 @@ def interactive(server: Server, size: Size, seed: int,
                 break
             if now < due:
                 time.sleep(due - now)
-            pairs = [[rng.getrandbits(size.serve_width),
-                      rng.getrandbits(size.serve_width)]
-                     for _ in range(size.serve_pairs)]
+            pairs = [[rng.getrandbits(WIDTH), rng.getrandbits(WIDTH)]
+                     for _ in range(PAIRS)]
             begin = time.perf_counter()
             call = Call(index, session, pairs, due, 0.0,
                         max(0.0, begin - max(due, previous_done)))
@@ -221,7 +231,7 @@ def interactive(server: Server, size: Size, seed: int,
             sent += 1
 
 
-def batch(server: Server, size: Size, patterns, stop: threading.Event,
+def batch(server: Server, patterns, stop: threading.Event,
           tracer: Optional[Tracer], campaigns: List[Tuple]) -> None:
     """Closed-loop farm campaigns until ``stop`` is set."""
     from repro.parallel import remote
@@ -234,7 +244,7 @@ def batch(server: Server, size: Size, patterns, stop: threading.Event,
         begin = time.perf_counter()
         try:
             report = remote.remote_fault_simulate(
-                size.serve_bench, patterns, [server.endpoint],
+                FARM_BENCH, patterns, [server.endpoint],
                 engine="compiled", token=TOKEN)
             digest, error = report_digest(report), None
         except Exception as exc:  # noqa: BLE001 - counted as failed
@@ -246,13 +256,13 @@ def batch(server: Server, size: Size, patterns, stop: threading.Event,
 # Checks
 # ----------------------------------------------------------------------
 
-def check_interactive(rungs: List[Rung], transport, size: Size,
+def check_interactive(rungs: List[Rung], transport,
                       result: Result) -> None:
     """Replay every call on an in-process PowerServant and compare."""
     from repro.ip.provider import IPProvider
 
     provider = IPProvider("perfbench.reference")
-    provider.publish_multiplier(size.serve_width, engine="event")
+    provider.publish_multiplier(WIDTH, engine="event")
     servant = provider.server.registry.lookup(POWER_OBJECT).servant
     for rung in rungs:
         if not rung.calls:
@@ -280,7 +290,7 @@ def check_campaigns(campaigns, expected: str, result: Result) -> None:
                      f"({error or 'digest mismatch'})")
 
 
-def serial_digest(size: Size, patterns) -> str:
+def serial_digest(patterns) -> str:
     """The local event-engine serial report digest of the farm work."""
     from repro.faults.faultlist import build_fault_list
     from repro.faults.serial import SerialFaultSimulator
@@ -288,7 +298,7 @@ def serial_digest(size: Size, patterns) -> str:
 
     from .campaign import report_digest
 
-    netlist = resolve_bench(size.serve_bench)
+    netlist = resolve_bench(FARM_BENCH)
     report = SerialFaultSimulator(netlist,
                                   build_fault_list(netlist)).run(patterns)
     return report_digest(report)
@@ -298,7 +308,7 @@ def farm_patterns(size: Size, seed: int):
     from repro.core.signal import Logic
     from repro.gates import corpus
 
-    netlist = corpus.load_bench(size.serve_bench)
+    netlist = corpus.load_bench(FARM_BENCH)
     rng = random.Random(seed)
     return [{net: Logic(rng.getrandbits(1)) for net in netlist.inputs}
             for _ in range(size.serve_patterns)]
@@ -319,9 +329,9 @@ def _measure(server: Server, size: Size, seed: int, seconds: float,
     stop = threading.Event()
     threads = [
         threading.Thread(target=interactive, args=(
-            server, size, seed, rungs, tracer, connection)),
+            server, seed, rungs, tracer, connection)),
         threading.Thread(target=batch, args=(
-            server, size, patterns, stop, tracer, campaigns))]
+            server, patterns, stop, tracer, campaigns))]
     window_start = time.perf_counter()
     for thread in threads:
         thread.start()
@@ -363,27 +373,27 @@ def run(size: Size, seed: int, seconds: float, traced: bool,
         tracer.install(client_plan)
         tracer.name_lane("benchmark main")
     server_spans: List = []
-    setups: List[float] = []
-    server: Optional[Server] = None
+    tags = itertools.count()
+
+    def set_up() -> Tuple[Server, Any]:
+        return (start_server(traced, f"{seed}-{next(tags)}"),
+                farm_patterns(size, seed))
+
+    setup_speed = HostSpeed()
+    setups, (server, patterns) = repeat_setup(
+        size, set_up, tracer,
+        lambda earlier: server_spans.extend(earlier[0].stop()["spans"]),
+        after=None if tracer else
+        lambda: setup_speed.sample(PROBES_PER_SETUP))
     try:
-        for repeat in range(size.setup_repeats):
-            if server is not None:
-                server_spans += server.stop()["spans"]
-            begin = time.perf_counter()
-            server, _ = start_server(size, traced, f"{seed}-{repeat}")
-            patterns = farm_patterns(size, seed)
-            end = time.perf_counter()
-            setups.append(end - begin)
-            if tracer:
-                tracer.phase("setup", begin, end)
-        expected = serial_digest(size, patterns)
+        expected = serial_digest(patterns)
 
         rungs, campaigns, window, transport, lanes = _measure(
             server, size, seed, seconds, patterns, tracer)
         if tracer:
             tracer.phase("measure", *window)
             tracer.uninstall()
-        check_interactive(rungs, transport, size, result)
+        check_interactive(rungs, transport, result)
         transport.close()
         check_campaigns(campaigns, expected, result)
         port = server.port
@@ -405,13 +415,20 @@ def run(size: Size, seed: int, seconds: float, traced: bool,
         for rung in rungs]
     result.info["campaigns"] = len(campaigns)
     result.info["interactive_max_rps"] = _max_rate(
-        rungs, size.serve_p99_limit_ms)
+        rungs, P99_LIMIT_MS)
     if not tracer:
         result.add("op_p50_ms", _ms(p50), "ms")
         result.add("op_p99_ms", _ms(p99), "ms")
         result.add("work_per_s", len(campaigns) / farm_window, "1/s")
-        result.add("setup_s", median(setups), "s")
+        # Set-up is scaled to the reference host speed as in the other
+        # workloads; the served load is not, as it leaves no quiet gap
+        # to probe in.
+        result.add("setup_s", median(setups) * setup_speed.scale(), "s")
         result.add("peak_rss_mb", peak_rss_mb(), "MB")
+        result.info["host_speed"] = {
+            "setup_scale": setup_speed.scale(),
+            "setup_probe_s": setup_speed.times,
+            "unscaled": {"setup_s": median(setups)}}
         return result
 
     _traced_metrics(result, tracer, server_spans, stopped, port, rungs,
@@ -426,9 +443,9 @@ def _traced_metrics(result: Result, tracer: Tracer, server_spans,
                     expected: str, traced_p50: float) -> None:
     tracer.spans.extend(server_spans)
     index = layers.SpanIndex(tracer.spans)
-    layers.add_layer_metrics(result, index, window, tracer.phases["setup"],
-                             lanes)
-    spans = index.within(window)
+    layers.add_layer_metrics(result, index, [window],
+                             tracer.phases["setup"], lanes)
+    spans = index.within([window])
     interactive_conn = tracer.connection_id(transport)
     frames = index.outermost(spans, "rmi.tcp_invoke")
     for kind, chosen in (
@@ -459,20 +476,20 @@ def _traced_metrics(result: Result, tracer: Tracer, server_spans,
                report["client_frames"] + report["server_dispatches"]
                - 2 * len(pairs), "count")
     result.add("load.interactive_max_rps",
-               _max_rate(rungs, size.serve_p99_limit_ms), "1/s")
+               _max_rate(rungs, P99_LIMIT_MS), "1/s")
     for key, value in (stopped["stats"] or {}).items():
         result.add(f"server.stats.{key}", float(value), "count")
     lates = [call.late for rung in rungs for call in rung.calls]
     result.add("load.late_p99_ms", _ms(quantile(lates, 0.99)), "ms")
 
-    # Overhead: the same base rung against an untraced server.
-    untraced_seconds = min(5.0, seconds * size.serve_base_share)
-    server, _ = start_server(size, False, f"{seed}-untraced")
+    # Overhead: the interactive p50 of a base rung of the same length,
+    # with the batch tenant running, against an untraced server.
+    server = start_server(False, f"{seed}-untraced")
     try:
         rungs_u, campaigns_u, _, transport_u, _ = _measure(
-            server, _base_only(size), seed, untraced_seconds, patterns,
-            None)
-        check_interactive(rungs_u, transport_u, size, result)
+            server, _base_only(size), seed,
+            seconds * size.serve_base_share, patterns, None)
+        check_interactive(rungs_u, transport_u, result)
         transport_u.close()
         check_campaigns(campaigns_u, expected, result)
     finally:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -17,23 +18,31 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
 
-from perfbench import campaign, cosim, run, serve_mixed  # noqa: E402
-from perfbench.common import SIZES  # noqa: E402
+from perfbench import campaign, cosim, layers, run, serve_mixed  # noqa: E402
+from perfbench.common import SIZES, Result  # noqa: E402
 from perfbench.reference import load_reference  # noqa: E402
 
 TINY = SIZES["tiny"]
 WORKLOADS = ("campaign", "cosim", "serve_mixed")
-LAYERS = ("bench", "gates", "faults", "compiled", "parallel", "core", "rmi",
-          "ip", "power", "server")
+
+
+def _assert_self_time_identity(metrics):
+    """Layer self times plus the separately measured unattributed time
+    make up the traced wall time, and nothing is attributed twice."""
+    attributed = sum(metrics[f"{layer}.self_s"] for layer in layers.LAYERS)
+    assert metrics["trace.unattributed_s"] >= 0
+    assert attributed + metrics["trace.unattributed_s"] == \
+        pytest.approx(metrics["trace.wall_s"], abs=1e-6)
 
 
 def bench(workload: str, seed: int, trace: int, root: str = ROOT,
-          seconds: float = 2.0):
+          seconds: float = 2.0, preexec_fn=None):
     completed = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed), "--seconds",
          str(seconds), "--trace", str(trace), "--size", "tiny"],
-        cwd=root, capture_output=True, text=True, timeout=170)
+        cwd=root, capture_output=True, text=True, timeout=170,
+        preexec_fn=preexec_fn)
     lines = completed.stdout.strip().splitlines()
     return completed.returncode, lines
 
@@ -53,9 +62,7 @@ def test_printed_metrics_match_benchmark_json(workload, trace):
         assert metric["unit"] == declared[name]
     if trace:
         metrics = {name: m["value"] for name, m in result["metrics"].items()}
-        attributed = sum(metrics[f"{layer}.self_s"] for layer in LAYERS)
-        assert attributed + metrics["trace.unattributed_s"] == \
-            pytest.approx(metrics["trace.wall_s"], abs=1e-6)
+        _assert_self_time_identity(metrics)
     else:
         assert all(m["value"] > 0 for m in result["metrics"].values())
 
@@ -65,6 +72,15 @@ def test_held_out_seed_runs_clean(workload):
     code, lines = bench(workload, 7, 0)
     assert code == 0, "\n".join(lines)
     assert json.loads(lines[-1])["correct"]
+
+
+def _ignore_sigint():
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def test_serve_runs_with_sigint_ignored_as_in_a_background_job():
+    code, lines = bench("serve_mixed", 0, 0, preexec_fn=_ignore_sigint)
+    assert code == 0, "\n".join(lines)
 
 
 def test_refuses_to_run_without_the_program(tmp_path):
@@ -136,7 +152,7 @@ def test_serve_gate_rejects_a_wrong_farm_report():
     from perfbench.common import Result
 
     patterns = serve_mixed.farm_patterns(TINY, 0)
-    expected = serve_mixed.serial_digest(TINY, patterns)
+    expected = serve_mixed.serial_digest(patterns)
     result = Result("serve_mixed", 0, False)
     serve_mixed.check_campaigns(
         [(0.0, 1.0, expected, None), (1.0, 2.0, "0" * 64, None),
@@ -160,7 +176,7 @@ def test_serve_gate_rejects_a_wrong_power():
     from perfbench.common import Result
 
     provider = IPProvider("test.provider")
-    provider.publish_multiplier(TINY.serve_width, engine="compiled")
+    provider.publish_multiplier(serve_mixed.WIDTH, engine="compiled")
     servant = provider.server.registry.lookup(
         serve_mixed.POWER_OBJECT).servant
     rung = serve_mixed.Rung(20.0, 0.0, 1.0)
@@ -174,11 +190,90 @@ def test_serve_gate_rejects_a_wrong_power():
 
     clean = Result("serve_mixed", 0, False)
     serve_mixed.check_interactive([rung], _FakeTransport({session: served}),
-                                  TINY, clean)
+                                  clean)
     assert clean.correct and clean.attempted == 3
 
     served[4] += 1e-9
     wrong = Result("serve_mixed", 0, False)
     serve_mixed.check_interactive([rung], _FakeTransport({session: served}),
-                                  TINY, wrong)
+                                  wrong)
     assert (wrong.attempted, wrong.failed) == (3, 1)
+
+
+# -- self-time accounting --------------------------------------------------
+
+def _layer_metrics(spans, windows, lanes):
+    result = Result("test", 0, True)
+    layers.add_layer_metrics(result, layers.SpanIndex(spans), windows, [],
+                             lanes)
+    return {name: value for name, (value, _unit) in result.metrics.items()}
+
+
+def _span(n, parent, name, start, end, tid=1):
+    return ((1, n), (1, parent) if parent else None, name, start, end, 1,
+            tid, {})
+
+
+def test_unattributed_time_is_the_uncovered_part_of_each_lane():
+    spans = [_span(1, None, "bench.run_scenario", 1.0, 4.0),
+             _span(2, 1, "core.start", 1.5, 3.5),
+             _span(3, 2, "rmi.invoke", 2.0, 2.5),
+             _span(4, None, "compiled.compile", 6.0, 7.0, tid=2)]
+    metrics = _layer_metrics(spans, [(0.0, 5.0), (5.0, 10.0)],
+                             {(1, 1), (1, 2)})
+    assert metrics["trace.wall_s"] == 20.0
+    assert metrics["trace.unattributed_s"] == pytest.approx(16.0)
+    assert (metrics["bench.self_s"], metrics["core.self_s"],
+            metrics["rmi.self_s"], metrics["compiled.self_s"]) == \
+        pytest.approx((1.0, 1.5, 0.5, 1.0))
+    _assert_self_time_identity(metrics)
+
+
+def test_a_span_recorded_twice_breaks_the_identity():
+    span = _span(1, None, "core.start", 1.0, 3.0)
+    twice = [span, _span(2, None, "core.start", 1.0, 3.0)]
+    metrics = _layer_metrics(twice, [(0.0, 5.0)], {(1, 1)})
+    assert metrics["trace.unattributed_s"] == pytest.approx(3.0)
+    with pytest.raises(AssertionError):
+        _assert_self_time_identity(metrics)
+
+
+# -- skipped bars ----------------------------------------------------------
+
+def test_fanout_efficiency_is_skipped_with_one_usable_core(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0})
+    value, skipped = campaign.fanout_efficiency(8.0, 5.0, workers=4)
+    assert value is None and skipped
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1})
+    assert campaign.fanout_efficiency(8.0, 5.0, workers=2) == (0.8, [])
+    assert campaign.fanout_efficiency(8.0, 8.0, workers=1)[0] is None
+
+
+# -- host-speed scaling ----------------------------------------------------
+
+def test_host_times_scale_with_the_probe():
+    from perfbench import speed
+
+    times, setups = [2.0, 4.0, 3.0], [1.0, 1.2, 0.8]
+    metrics = {}
+    for slowdown in (1.0, 2.0):
+        gauge = speed.HostSpeed()
+        gauge.times = [speed.REFERENCE_PROBE_S * slowdown] * 4
+        result = Result("test", 0, False)
+        speed.add_host_times(result, [t * slowdown for t in times], gauge,
+                             [t * slowdown for t in setups], gauge,
+                             work=90.0)
+        metrics[slowdown] = {name: value for name, (value, _unit)
+                             in result.metrics.items()}
+    assert metrics[2.0] == pytest.approx(metrics[1.0])
+    assert metrics[1.0] == pytest.approx({
+        "op_p50_ms": 3000.0, "op_p99_ms": 3980.0, "work_per_s": 30.0,
+        "setup_s": 1.0})
+
+
+def test_speed_probe_runs_its_fixed_task_at_once():
+    from perfbench import speed
+
+    assert speed.probe() > 0  # it raises when the task stops short
+    assert speed.probe_at_once(2) > 0
