@@ -5,7 +5,7 @@ Usage: farm_identity_check.py HOST:PORT [label]
 Runs a serial figure4 fault campaign in-process, then farms the same
 campaign through 8 concurrent TLS+token clients against the given
 endpoint and asserts every client's report matches the serial one.
-The server-smoke job runs this against both a gate-tier and a
+The server-smoke job runs this against both a thread-tier and a
 ``--dispatch process`` worker, so the identity claim covers the
 multi-core dispatch path too.
 """

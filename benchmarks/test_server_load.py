@@ -24,7 +24,7 @@ from repro.parallel.remote import (remote_fault_simulate, report_to_wire,
                                    resolve_bench)
 from repro.rmi import TcpTransport
 from repro.rmi.server import JavaCADServer
-from repro.server import AsyncRMIServer
+from repro.server import DISPATCH_TIERS, AsyncRMIServer
 from repro.server.farm import fault_farm_session_factory
 
 SESSIONS = int(os.environ.get("REPRO_SERVER_SESSIONS", "32"))
@@ -239,37 +239,39 @@ def drive_tenants(tier):
 
 
 def test_dispatch_tier_scaling():
-    """Gate vs affinity vs process for CPU-bound multi-tenant load.
+    """Thread vs process tier for CPU-bound multi-tenant load.
 
-    The gate tier serializes every isolated dispatch; the process tier
-    should approach TENANTS-way overlap on enough cores.  The >=2x
-    acceptance bar is a true parallelism claim, so (like the parallel
-    speedup benchmark) it only binds on >= 4 cores; the byte-identity
-    claim binds everywhere.
+    The thread tier shares the GIL; the process tier should approach
+    TENANTS-way overlap on enough cores.  The >=2x acceptance bar is a
+    true parallelism claim, so (like the parallel speedup benchmark) it
+    only binds on >= 4 cores, and the JSON says when it was skipped;
+    the byte-identity claim binds everywhere.
     """
     cores = os.cpu_count() or 1
     walls = {}
     reports = {}
-    for tier in ("gate", "affinity", "process"):
+    for tier in DISPATCH_TIERS:
         reports[tier], walls[tier] = drive_tenants(tier)
 
-    # Every tier must produce identical per-tenant reports (the gate
+    # Both tiers must produce identical per-tenant reports (the thread
     # tier is byte-identical to fresh-process serial runs by the
     # differential suite, so equality here chains to serial).
-    assert reports["affinity"] == reports["gate"]
-    assert reports["process"] == reports["gate"]
+    assert reports["process"] == reports["thread"]
 
     throughput = {tier: round(TENANTS / wall, 3)
                   for tier, wall in walls.items()}
-    speedup = {tier: round(walls["gate"] / wall, 3) if wall else 0.0
+    speedup = {tier: round(walls["thread"] / wall, 3) if wall else 0.0
                for tier, wall in walls.items()}
+    bar = (f">= {PROCESS_SPEEDUP_FLOOR}x" if cores >= 4
+           else f"skipped: {cores} cores < 4")
     print()
     print(f"{TENANTS} CPU-bound tenants x {TENANT_PATTERNS} "
           f"{TENANT_BENCH} patterns on {cores} cores")
-    for tier in ("gate", "affinity", "process"):
+    for tier in DISPATCH_TIERS:
         print(f"{tier}: {walls[tier]:.2f}s "
               f"({throughput[tier]} campaigns/s, "
-              f"{speedup[tier]:.2f}x vs gate)")
+              f"{speedup[tier]:.2f}x vs thread)")
+    print(f"process speedup bar: {bar}")
 
     path = _write_merged_report({
         "dispatch_scaling": {
@@ -280,7 +282,8 @@ def test_dispatch_tier_scaling():
             "wall_seconds": {tier: round(wall, 4)
                              for tier, wall in walls.items()},
             "campaigns_per_second": throughput,
-            "speedup_vs_gate": speedup,
+            "speedup_vs_thread": speedup,
+            "process_speedup_bar": bar,
             "reports_identical": True,
         },
     })
@@ -288,5 +291,5 @@ def test_dispatch_tier_scaling():
 
     if cores >= 4:
         assert speedup["process"] >= PROCESS_SPEEDUP_FLOOR, (
-            f"expected >= {PROCESS_SPEEDUP_FLOOR}x over the gate tier "
+            f"expected >= {PROCESS_SPEEDUP_FLOOR}x over the thread tier "
             f"on {cores} cores, measured {speedup['process']}x")

@@ -13,24 +13,21 @@ video streams).
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Dict, Optional
 
+from . import ids
 from .errors import ConnectionError_, WidthMismatchError
 from .signal import Logic, SignalValue, Word
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .port import Port
 
-# Auto-generated connector names reach marshalled bytes through wiring
-# error messages (error replies carry str(exc)), so this counter is a
-# declared COUNTER_SITES entry: an itertools.count the session gates
-# can swap per tenant, not a bare incremented int.
-_connector_ids = itertools.count(1)
-
 
 def _next_connector_name(prefix: str) -> str:
-    return f"{prefix}{next(_connector_ids)}"
+    # Auto-generated names reach marshalled bytes through wiring error
+    # messages (error replies carry str(exc)), so they come from the
+    # session's id space.
+    return f"{prefix}{next(ids.current().connector_ids)}"
 
 
 class Connector:

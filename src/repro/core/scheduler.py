@@ -15,10 +15,9 @@ import itertools
 from typing import List, Optional, Tuple
 
 from ..telemetry.runtime import TELEMETRY
+from . import ids
 from .errors import SchedulerInterferenceError, SimulationError
 from .token import Token
-
-_scheduler_ids = itertools.count(1)
 
 #: Histogram edges for schedule() delays, in simulated seconds.
 _DELAY_BUCKETS = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
@@ -32,7 +31,7 @@ class Scheduler:
     """
 
     def __init__(self, name: Optional[str] = None):
-        self.scheduler_id: int = next(_scheduler_ids)
+        self.scheduler_id: int = next(ids.current().scheduler_ids)
         self.name = name or f"scheduler{self.scheduler_id}"
         self.now: float = 0.0
         self.events_delivered: int = 0

@@ -16,9 +16,9 @@ exactly as in the paper's Figure 2.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
+from ..core import ids
 from ..core.connector import Connector
 from ..core.errors import DesignError, IPProtectionError
 from ..core.module import ModuleSkeleton
@@ -43,8 +43,6 @@ from .provider import (FunctionalServant, IPProvider, PowerServant,
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.controller import SimulationContext
-
-_session_ids = itertools.count(1)
 
 
 class ProviderConnection:
@@ -74,7 +72,7 @@ class ProviderConnection:
         self.clock = clock or VirtualClock()
         self.cost = cost_model or CostModel()
         self.policy = policy or default_policy_for(server.host_name)
-        self.session = session or f"session{next(_session_ids)}"
+        self.session = session or f"session{next(ids.current().session_ids)}"
         # The wire transport (true round-trip counter), optionally
         # stacked with batching/caching wrappers; ``None`` flags defer
         # to the process-wide WIRE_OPTIONS (the CLI's --rmi-batch /

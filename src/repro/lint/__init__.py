@@ -11,10 +11,10 @@ Three analyzer families behind one rule registry:
   remote returns, and absence of IP privacy leaks without executing
   any servant code;
 * **concurrency analysis** -- a name-based call graph over the whole
-  sweep (:mod:`repro.lint.callgraph`) backing rules for undeclared
-  global counters, blocking calls in async code, fork hazards,
-  unguarded shared-state mutation, nondeterministic marshalling and
-  stale ``COUNTER_SITES`` entries.
+  sweep (:mod:`repro.lint.callgraph`) backing rules for global id
+  counters outside the session id space, blocking calls in async
+  code, fork hazards, unguarded shared-state mutation and
+  nondeterministic marshalling.
 
 Run ``repro lint`` from the CLI, or :func:`run_lint` /
 :func:`run_source_lint` from Python.  The rule catalog lives in

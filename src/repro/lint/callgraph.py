@@ -1,14 +1,13 @@
 """Shared call-graph / dataflow helper for the static analyzers.
 
-The concurrency rules (JCD014-JCD019) need to answer one question the
+The concurrency rules (JCD014-JCD018) need to answer one question the
 per-class servant analyzers never had to: *can this line run while the
 multi-tenant server is dispatching?*  This module builds the pieces of
 that answer from nothing but parsed source:
 
 * a **module index** -- every ``.py`` file in a sweep, with its dotted
   module name recovered by walking the ``__init__.py`` chain upwards
-  (so ``src/repro/rmi/protocol.py`` is ``repro.rmi.protocol`` exactly
-  as :data:`repro.server.session.COUNTER_SITES` spells it);
+  (so ``src/repro/rmi/protocol.py`` is ``repro.rmi.protocol``);
 * a **counter census** -- every module-level ``itertools.count``
   assignment and every module-level integer a function increments
   through a ``global`` declaration;
@@ -38,7 +37,7 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
 CounterSite = Tuple[str, str]
-"""``(dotted.module, attribute)`` -- the COUNTER_SITES spelling."""
+"""``(dotted.module, attribute)`` of one module-level counter."""
 
 DISPATCH_CLASSES: FrozenSet[str] = frozenset({"AsyncRMIServer"})
 """Classes whose every method is a dispatch-surface entry point."""
@@ -212,38 +211,6 @@ def _string_tuple(node: ast.AST) -> Optional[Tuple[str, ...]]:
             return None
         names.append(element.value)
     return tuple(names)
-
-
-def declared_counter_sites(tree: ast.Module
-                           ) -> Optional[Tuple[Tuple[CounterSite, ...],
-                                               int]]:
-    """A module's ``COUNTER_SITES`` literal, with its line, if any.
-
-    Only tuples of two-string tuples count -- the exact shape
-    :mod:`repro.server.session` declares.
-    """
-    for node in tree.body:
-        targets: List[ast.expr]
-        value: Optional[ast.expr]
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign):
-            targets, value = [node.target], node.value
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) \
-                    and target.id == "COUNTER_SITES":
-                if not isinstance(value, (ast.Tuple, ast.List)):
-                    return None
-                sites: List[CounterSite] = []
-                for element in value.elts:
-                    pair = _string_tuple(element)
-                    if pair is None or len(pair) != 2:
-                        return None
-                    sites.append((pair[0], pair[1]))
-                return tuple(sites), node.lineno
-    return None
 
 
 class CallGraph:

@@ -172,9 +172,9 @@ register_rule(
 # -- concurrency analysis (call graph over the full source sweep) ----------
 register_rule(
     "JCD014", "undeclared-global-counter", Severity.ERROR,
-    "A module-level id counter is consumed on server dispatch paths "
-    "but is missing from COUNTER_SITES; concurrent tenants would "
-    "share its sequence.")
+    "A module-level id counter outside repro.core.ids is consumed on "
+    "server dispatch paths; concurrent tenants would share its "
+    "sequence.")
 register_rule(
     "JCD015", "blocking-call-in-async", Severity.ERROR,
     "An async def in repro.server makes a blocking call (time.sleep, "
@@ -195,8 +195,3 @@ register_rule(
     "A servant method feeds nondeterminism (set iteration, id(), "
     "wall clocks, unseeded random, os.urandom) toward marshalled "
     "bytes, breaking byte-identity across runs.")
-register_rule(
-    "JCD019", "stale-counter-site", Severity.ERROR,
-    "A COUNTER_SITES entry names a module attribute that no longer "
-    "exists or is no longer a counter; the reset/isolation inventory "
-    "is stale.")

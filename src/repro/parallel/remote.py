@@ -42,6 +42,7 @@ shard's index.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 import time
@@ -49,6 +50,7 @@ from dataclasses import dataclass
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
                     Union)
 
+from ..core import ids
 from ..core.errors import ParallelExecutionError, RemoteError
 from ..faults.faultlist import FaultList, build_fault_list
 from ..compiled import fault_simulator_for, resolve_engine
@@ -62,7 +64,6 @@ from ..rmi.wire import WIRE_OPTIONS, wrap_transport
 from ..telemetry.runtime import TELEMETRY
 from .merge import merge_reports
 from .pool import TaskOutcome, _TASK_WALL_BUCKETS
-from .scenarios import reset_session_state
 from .sharding import default_shard_count, shard_fault_list
 
 FAULT_FARM_OBJECT = "faultfarm"
@@ -200,22 +201,23 @@ class FaultFarmServant:
             raise ParallelExecutionError(
                 f"collect_report for unknown shard task {task_id!r} "
                 f"(begin_shard missing or already collected)")
-        if self.isolate:
-            # Same trick as repro.parallel.scenarios: reset the
-            # process-wide id counters so every shard runs as if in a
-            # fresh process, keeping repeated farm runs byte-identical.
-            reset_session_state()
+        # A fresh id space bound for this call only: the shard runs as
+        # if in a fresh process (repeated farm runs stay byte-identical)
+        # without touching any other tenant's ids.
+        isolation = (ids.use_space(ids.IdSpace()) if self.isolate
+                     else contextlib.nullcontext())
         if collect_telemetry:
             TELEMETRY.reset()
             TELEMETRY.enable()
         try:
-            netlist, fault_list = self._built_for(shard["bench"],
-                                                  shard["collapse"])
-            shard_list = fault_list.subset(shard["fault_names"])
-            simulator = fault_simulator_for(shard["engine"], netlist,
-                                            shard_list)
-            report = simulator.run(shard["patterns"],
-                                   drop_detected=shard["drop_detected"])
+            with isolation:
+                netlist, fault_list = self._built_for(shard["bench"],
+                                                      shard["collapse"])
+                shard_list = fault_list.subset(shard["fault_names"])
+                simulator = fault_simulator_for(shard["engine"], netlist,
+                                                shard_list)
+                report = simulator.run(
+                    shard["patterns"], drop_detected=shard["drop_detected"])
         finally:
             if collect_telemetry:
                 TELEMETRY.disable()

@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence
 
 from ..bench.scenarios import (DEFAULT_BUFFER, DEFAULT_PATTERNS,
                                DEFAULT_WIDTH, ScenarioResult, run_scenario)
+from ..core import ids
 from ..core.errors import ParallelExecutionError
 from ..net.model import PRESETS
 from .pool import WorkerPool, resolve_workers
@@ -54,34 +55,20 @@ class ScenarioSpec:
 
 
 def reset_session_state() -> None:
-    """Reset fork-inherited process-wide counters and caches.
+    """Reset fork-inherited process-wide ids and caches.
 
-    Call/session id counters leak into marshalled frame sizes (longer
-    ids, more bytes, more modelled transfer time), and the cached
-    shared provider carries accumulated billing.  Resetting both makes
-    a worker's scenario identical to one run in a fresh process, no
-    matter what the parent ran before forking.
-
-    This is a *worker-side* reset: it rebinds each counter site to a
-    fresh ``itertools.count``, evicting whatever the site held --
-    including the thread-local proxies an affinity-tier
-    :class:`~repro.server.AsyncRMIServer` installs.  That is correct
-    in a freshly-forked worker (the process dispatch tier runs this as
-    its worker initializer for exactly that reason), but do not call
-    it in a parent process that is concurrently serving sessions.
+    Call/session ids leak into marshalled frame sizes (longer ids, more
+    bytes, more modelled transfer time), and the cached shared provider
+    carries accumulated billing.  Installing a fresh process-default
+    :class:`~repro.core.ids.IdSpace` and clearing the provider makes a
+    worker's scenario identical to one run in a fresh process, no
+    matter what the parent ran before forking.  Id spaces bound with
+    :func:`~repro.core.ids.use_space` (live server sessions) keep
+    their sequences.
     """
-    import importlib
-    import itertools
-
     from ..bench import scenarios as bench_scenarios
-    from ..server.session import COUNTER_SITES
 
-    # The authoritative counter list lives in repro.server.session so
-    # the async server's per-connection isolation and this worker reset
-    # can never cover different sites.
-    for module_name, attr in COUNTER_SITES:
-        setattr(importlib.import_module(module_name), attr,
-                itertools.count(1))
+    ids.reset_process_default()
     bench_scenarios.shared_provider.cache_clear()
 
 

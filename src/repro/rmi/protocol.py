@@ -7,14 +7,12 @@ serializer; the same message types travel over the in-process transport
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from ..core import ids
 from ..core.errors import MarshalError
 from .marshal import marshal, unmarshal
-
-_call_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -25,7 +23,7 @@ class CallRequest:
     method: str
     args: Tuple[Any, ...] = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    call_id: int = field(default_factory=lambda: next(_call_ids))
+    call_id: int = field(default_factory=lambda: next(ids.current().call_ids))
     oneway: bool = False
 
     def to_wire(self) -> Dict[str, Any]:
@@ -114,7 +112,7 @@ class BatchRequest:
     """
 
     calls: Tuple[CallRequest, ...]
-    batch_id: int = field(default_factory=lambda: next(_call_ids))
+    batch_id: int = field(default_factory=lambda: next(ids.current().call_ids))
 
     def encode(self) -> bytes:
         """Marshal to wire bytes (rejects non-whitelisted arguments)."""
@@ -181,7 +179,7 @@ class AuthRequest:
     """
 
     token: str
-    call_id: int = field(default_factory=lambda: next(_call_ids))
+    call_id: int = field(default_factory=lambda: next(ids.current().call_ids))
 
     def to_wire(self) -> Dict[str, Any]:
         """The AUTH frame as a marshallable dict."""

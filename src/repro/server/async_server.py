@@ -11,12 +11,11 @@ the front end:
 * an :mod:`asyncio` event loop owns every socket -- thousands of idle
   connections cost file descriptors, not threads;
 * servant work leaves the loop through a selectable **dispatch tier**
-  (``dispatch=``): ``gate`` runs on a bounded shared thread pool with
-  one process-wide isolation lock, ``affinity`` pins each session to
-  its own single-thread executor with per-session locks only (tenants
-  never queue on each other), and ``process`` ships frames to forked
-  worker processes with sticky session routing so CPU-bound servant
-  work escapes the GIL entirely;
+  (``dispatch=``): ``thread`` runs on a bounded shared thread pool,
+  one dispatch per connection at a time in arrival order and no lock
+  across connections, and ``process`` ships frames to forked worker
+  processes with sticky session routing so CPU-bound servant work
+  escapes the GIL entirely;
 * each connection gets an ordered three-stage pipeline (reader ->
   replier -> writer) with bounded queues, so a client that stops
   reading exerts backpressure instead of ballooning server memory;
@@ -24,9 +23,10 @@ the front end:
   error frame, not an unexplained reset;
 * an optional shared **bearer token** is enforced before any frame can
   reach dispatch, and optional **TLS** wraps the whole exchange;
-* per-connection :class:`~repro.server.session.SessionState` gives
-  every tenant the id namespaces of a fresh process, which is what
-  makes a farmed fault report byte-identical to a serial run.
+* a per-connection :class:`~repro.core.ids.IdSpace`, bound around
+  each of its dispatches, gives every tenant the ids of a fresh
+  process, which is what makes a farmed fault report byte-identical to
+  a serial run.
 
 The server runs its event loop on a dedicated thread behind a
 synchronous ``start()`` / ``stop()`` facade, so the CLI, tests and
@@ -46,6 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
+from ..core import ids
 from ..core.errors import RemoteError
 from ..rmi.protocol import (AuthRequest, BatchRequest, CallReply,
                             decode_request)
@@ -53,9 +54,7 @@ from ..rmi.server import (JavaCADServer, _encode_batch_reply,
                           _encode_reply)
 from ..telemetry.runtime import TELEMETRY
 from .dispatch import ProcessDispatcher
-from .session import (IsolationGate, SessionGate, SessionState,
-                      call_session_factory,
-                      install_site_proxies, uninstall_site_proxies)
+from .session import call_session_factory
 
 DEFAULT_MAX_CONNECTIONS = 64
 DEFAULT_DISPATCH_WORKERS = 4
@@ -63,19 +62,17 @@ DEFAULT_HANDSHAKE_TIMEOUT = 5.0
 DEFAULT_DRAIN_TIMEOUT = 5.0
 DEFAULT_QUEUE_DEPTH = 32
 
-DISPATCH_TIERS = ("gate", "affinity", "process")
+DISPATCH_TIERS = ("thread", "process")
 """Selectable dispatch tiers, cheapest-setup first.
 
-``gate``: shared thread pool, one process-wide isolation lock --
-isolated dispatches serialize, which costs nothing while servants are
-I/O-light pure Python under the GIL but caps the server at one core.
-``affinity``: one dedicated single-thread executor per session with
-per-session locks over thread-local counter bindings -- independent
-tenants never queue on each other (a slow tenant no longer stalls the
-rest), though CPU-bound Python still shares the GIL.  ``process``:
-frames ship to forked worker processes with sticky session routing --
-CPU-bound servant work runs truly in parallel.  Every tier keeps each
-tenant byte-identical to a fresh-process serial run."""
+``thread``: a shared pool of ``dispatch_workers`` threads; each
+connection's dispatches run one at a time in arrival order, with the
+connection's id space bound.  There is no lock across connections, so
+a slow tenant holds one pool thread and stalls no one else while a
+thread is free, though CPU-bound Python shares the GIL.  ``process``: frames ship to forked worker processes with
+sticky session routing -- CPU-bound servant work runs truly in
+parallel.  Both tiers keep each tenant byte-identical to a
+fresh-process serial run."""
 
 
 @dataclass
@@ -137,17 +134,17 @@ class _Connection:
                  reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter,
                  session: Optional[JavaCADServer],
-                 state: Optional[SessionState],
                  session_id: int):
         self.server = server
         self.reader = reader
         self.writer = writer
         self.session = session
-        self.state = state
         self.session_id = session_id
-        # Affinity tier: this session's dedicated executor + gate.
-        self.executor: Optional[ThreadPoolExecutor] = None
-        self.gate: Optional[SessionGate] = None
+        # Thread tier: the tenant's ids, and the lock that runs its
+        # dispatches one at a time in arrival order (asyncio.Lock wakes
+        # waiters first-in, first-out).
+        self.space = ids.IdSpace()
+        self.fifo = asyncio.Lock()
         self.pending: "asyncio.Queue[Optional[asyncio.Future[bytes]]]" = \
             asyncio.Queue(maxsize=server.max_pending)
         self.writes: "asyncio.Queue[Optional[bytes]]" = \
@@ -178,14 +175,12 @@ class AsyncRMIServer:
     that keep per-tenant state such as the fault farm) must be given.
 
     ``dispatch`` selects how servant work leaves the event loop (see
-    :data:`DISPATCH_TIERS`): ``gate`` (default) is the shared thread
-    pool behind the process-wide isolation lock, ``affinity`` pins
-    each session to a dedicated single-thread executor so tenants
-    never queue on each other, and ``process`` routes each session
-    stickily to one of ``dispatch_workers`` forked worker processes
-    (the session factory crosses by fork inheritance, so it need not
-    be picklable).  All tiers preserve per-tenant byte-identity with a
-    fresh-process serial run while ``isolate_sessions`` is on.
+    :data:`DISPATCH_TIERS`): ``thread`` (default) is the shared pool
+    of ``dispatch_workers`` threads, and ``process`` routes each
+    session stickily to one of ``dispatch_workers`` forked worker
+    processes (the session factory crosses by fork inheritance, so it
+    need not be picklable).  Both tiers preserve per-tenant
+    byte-identity with a fresh-process serial run.
     """
 
     def __init__(self, server: Optional[JavaCADServer] = None, *,
@@ -199,10 +194,9 @@ class AsyncRMIServer:
                  handshake_timeout: float = DEFAULT_HANDSHAKE_TIMEOUT,
                  drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
                  dispatch_workers: int = DEFAULT_DISPATCH_WORKERS,
-                 dispatch: str = "gate",
+                 dispatch: str = "thread",
                  max_pending: int = DEFAULT_QUEUE_DEPTH,
                  max_write_queue: int = DEFAULT_QUEUE_DEPTH,
-                 isolate_sessions: bool = True,
                  name: str = "async-rmi"):
         if (server is None) == (session_factory is None):
             raise ValueError(
@@ -228,14 +222,11 @@ class AsyncRMIServer:
         self.dispatch_tier = dispatch
         self.max_pending = max_pending
         self.max_write_queue = max_write_queue
-        self.isolate_sessions = isolate_sessions
         self.name = name
         self.stats = ServerStats()
         self.address: Optional[Tuple[str, int]] = None
-        self._gate = IsolationGate()
         self._session_ids = itertools.count(1)
         self._dispatcher: Optional[ProcessDispatcher] = None
-        self._proxied = False
         self._connections: Set[_Connection] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
@@ -313,9 +304,6 @@ class AsyncRMIServer:
         self._stop_event = asyncio.Event()
         self._draining = False
         try:
-            if self.dispatch_tier == "affinity" and self.isolate_sessions:
-                install_site_proxies()
-                self._proxied = True
             if self.dispatch_tier == "process":
                 factory = self._session_factory
                 if factory is None:
@@ -347,9 +335,7 @@ class AsyncRMIServer:
                     "server.dispatch.workers",
                     labels={"server": self.name,
                             "tier": self.dispatch_tier}).set(
-                        self.max_connections
-                        if self.dispatch_tier == "affinity"
-                        else self.dispatch_workers)
+                        self.dispatch_workers)
             self._started.set()
             await self._stop_event.wait()
             await self._shutdown()
@@ -360,9 +346,6 @@ class AsyncRMIServer:
             if self._dispatcher is not None:
                 self._dispatcher.shutdown()
                 self._dispatcher = None
-            if self._proxied:
-                uninstall_site_proxies()
-                self._proxied = False
             self._listener = None
             self._loop = None
             self._stop_event = None
@@ -418,26 +401,15 @@ class AsyncRMIServer:
             # core.
             session_id = next(self._session_ids)
             session: Optional[JavaCADServer] = None
-            state: Optional[SessionState] = None
             if self._dispatcher is None:
                 session = (self._shared_server
                            if self._shared_server is not None
                            else call_session_factory(
                                self._session_factory,  # type: ignore[arg-type]
                                session_id))
-                if self.isolate_sessions:
-                    state = SessionState()
-            # Process tier: the session (and its state) lives in the
+            # Process tier: the session (and its id space) lives in the
             # sticky worker; the parent never builds one.
-            conn = _Connection(self, reader, writer, session, state,
-                               session_id)
-            if self.dispatch_tier == "affinity":
-                conn.executor = ThreadPoolExecutor(
-                    max_workers=1,
-                    thread_name_prefix=(
-                        f"{self.name}-affinity-{session_id}"))
-                if state is not None:
-                    conn.gate = SessionGate(state)
+            conn = _Connection(self, reader, writer, session, session_id)
             conn.task = asyncio.current_task()
             self._connections.add(conn)
             self._bump("server.sessions", "sessions_started")
@@ -447,8 +419,6 @@ class AsyncRMIServer:
         finally:
             if conn is not None:
                 self._connections.discard(conn)
-                if conn.executor is not None:
-                    conn.executor.shutdown(wait=False)
                 if self._dispatcher is not None:
                     self._dispatcher.forget(conn.session_id)
             if accounted:
@@ -563,10 +533,7 @@ class AsyncRMIServer:
         if self._dispatcher is not None:
             return asyncio.ensure_future(
                 self._execute_process(conn, frame))
-        executor = (conn.executor if conn.executor is not None
-                    else self._executor)
-        return self._loop.run_in_executor(
-            executor, self._execute, conn, request)
+        return asyncio.ensure_future(self._execute_thread(conn, request))
 
     def _refresh_auth(self, request: AuthRequest
                       ) -> "asyncio.Future[bytes]":
@@ -608,21 +575,25 @@ class AsyncRMIServer:
         else:
             self._bump("server.calls", "calls_served")
 
+    async def _execute_thread(self, conn: _Connection,
+                              request: Any) -> bytes:
+        """Thread tier: run on the pool after the connection's earlier
+        frames, so its dispatches keep arrival order."""
+        assert self._loop is not None
+        try:
+            async with conn.fifo:
+                return await self._loop.run_in_executor(
+                    self._executor, self._execute, conn, request)
+        finally:
+            self._queue_depth(-1)
+
     def _execute(self, conn: _Connection, request: Any) -> bytes:
         """Dispatch one request on an executor thread; encode there too."""
         start = time.perf_counter()
         try:
-            if conn.gate is not None:
-                # Affinity tier: per-session lock, thread-local
-                # counters -- other sessions dispatch concurrently.
-                with conn.gate.isolated():
-                    return self._dispatch(conn.session, request)
-            if conn.state is not None:
-                with self._gate.isolated(conn.state):
-                    return self._dispatch(conn.session, request)
-            return self._dispatch(conn.session, request)
+            with ids.use_space(conn.space):
+                return self._dispatch(conn.session, request)
         finally:
-            self._queue_depth(-1)
             if TELEMETRY.enabled:
                 TELEMETRY.metrics.histogram(
                     "server.dispatch.latency",
@@ -641,7 +612,7 @@ class AsyncRMIServer:
         start = time.perf_counter()
         try:
             return await asyncio.wrap_future(self._dispatcher.submit(
-                conn.session_id, frame, self.isolate_sessions))
+                conn.session_id, frame))
         finally:
             self._queue_depth(-1)
             if TELEMETRY.enabled:

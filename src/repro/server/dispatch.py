@@ -1,17 +1,16 @@
 """Process-tier dispatch: per-session servant work in forked workers.
 
-The ``gate`` tier serializes every isolated dispatch behind one lock
-and the ``affinity`` tier still shares the GIL, so CPU-bound servant
-work -- a fault-farm shard, an event-driven campaign -- scales past
-one core only by leaving the process.  :class:`ProcessDispatcher`
-ships each tenant's frames to a small farm of **forked worker
-processes** with *sticky* session-to-worker routing: a session's slot
-is ``(session_id - 1) % workers``, so every frame of one session lands
-on the same worker and the worker-resident
-:class:`~repro.server.session.SessionState` plus servant graph carry
-that session's id namespaces and farm-task state forward exactly as a
-dedicated fresh process would.  That stickiness is the whole
-byte-identity story: counters continue across a session's calls, and
+The ``thread`` tier shares the GIL, so CPU-bound servant work -- a
+fault-farm shard, an event-driven campaign -- scales past one core
+only by leaving the process.  :class:`ProcessDispatcher` ships each
+tenant's frames to a small farm of **forked worker processes** with
+*sticky* session-to-worker routing: a session's slot is
+``(session_id - 1) % workers``, so every frame of one session lands on
+the same worker and the worker-resident
+:class:`~repro.core.ids.IdSpace` plus servant graph carry that
+session's ids and farm-task state forward exactly as a dedicated fresh
+process would.  That stickiness is the whole byte-identity story: ids
+continue across a session's calls, and
 ``begin_shard``/``add_patterns``/``collect_report`` sequences never
 straddle two servant instances.
 
@@ -21,11 +20,9 @@ so the child inherits the (closure-carrying, unpicklable) factory by
 memory -- the same trick :mod:`repro.parallel` uses for scenario
 workers.  Second, every worker runs
 :func:`repro.parallel.scenarios.reset_session_state` once at fork, so
-counters and caches inherited from a busy parent never bleed into
-tenant sessions.  Each worker then swaps a session's counters in
-around its dispatches with a worker-local
-:class:`~repro.server.session.IsolationGate` -- uncontended, since a
-single-process pool runs one dispatch at a time.
+ids and caches inherited from a busy parent never bleed into tenant
+sessions.  Each worker then binds a session's id space around each of
+its dispatches.
 """
 
 from __future__ import annotations
@@ -35,11 +32,11 @@ import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Callable, Dict, List, Tuple
 
+from ..core import ids
 from ..rmi.protocol import BatchRequest, decode_request
 from ..rmi.server import (JavaCADServer, _encode_batch_reply,
                           _encode_reply)
-from .session import (IsolationGate, SessionState,
-                      call_session_factory)
+from .session import call_session_factory
 
 # Factories may optionally accept a session_id keyword (see
 # call_session_factory), so the signature is deliberately loose.
@@ -58,8 +55,7 @@ _FACTORIES: Dict[int, SessionFactory] = {}
 
 # Worker-side state: each forked worker mutates only its own copy.
 _worker_sessions: Dict[Tuple[int, int],
-                       Tuple[JavaCADServer, SessionState]] = {}
-_worker_gate = IsolationGate()
+                       Tuple[JavaCADServer, ids.IdSpace]] = {}
 
 
 def _worker_init() -> None:
@@ -78,7 +74,7 @@ def _worker_ready() -> bool:
 
 
 def _worker_session(dispatcher_id: int, session_id: int
-                    ) -> Tuple[JavaCADServer, SessionState]:
+                    ) -> Tuple[JavaCADServer, ids.IdSpace]:
     key = (dispatcher_id, session_id)
     entry = _worker_sessions.get(key)
     if entry is None:
@@ -91,15 +87,15 @@ def _worker_session(dispatcher_id: int, session_id: int
         # hosting several tenants (or a restarted worker) reproduces
         # the names a dedicated fresh process would choose.
         entry = (call_session_factory(factory, session_id),
-                 SessionState())
+                 ids.IdSpace())
         # Worker-local copy of the dict: a single-process pool runs
         # one dispatch at a time, so no second thread can be here.
         _worker_sessions[key] = entry  # lint: allow(JCD017)
     return entry
 
 
-def _worker_dispatch(dispatcher_id: int, session_id: int, frame: bytes,
-                     isolate: bool) -> bytes:
+def _worker_dispatch(dispatcher_id: int, session_id: int,
+                     frame: bytes) -> bytes:
     """Decode, dispatch and encode one frame inside the worker.
 
     The parent already decoded the frame once (AUTH screening and
@@ -107,12 +103,9 @@ def _worker_dispatch(dispatcher_id: int, session_id: int, frame: bytes,
     -- not live request objects -- as the only thing crossing the
     process boundary.
     """
-    session, state = _worker_session(dispatcher_id, session_id)
-    request = decode_request(frame)
-    if isolate:
-        with _worker_gate.isolated(state):
-            return _dispatch_encoded(session, request)
-    return _dispatch_encoded(session, request)
+    session, space = _worker_session(dispatcher_id, session_id)
+    with ids.use_space(space):
+        return _dispatch_encoded(session, decode_request(frame))
 
 
 def _dispatch_encoded(session: JavaCADServer, request: object) -> bytes:
@@ -172,11 +165,10 @@ class ProcessDispatcher:
     def pool_for(self, session_id: int) -> ProcessPoolExecutor:
         return self._pools[(session_id - 1) % self.workers]
 
-    def submit(self, session_id: int, frame: bytes,
-               isolate: bool) -> "Future[bytes]":
+    def submit(self, session_id: int, frame: bytes) -> "Future[bytes]":
         """Dispatch one frame on the session's sticky worker."""
         return self.pool_for(session_id).submit(
-            _worker_dispatch, self.id, session_id, frame, isolate)
+            _worker_dispatch, self.id, session_id, frame)
 
     def forget(self, session_id: int) -> None:
         """Drop the worker-resident session (connection closed)."""

@@ -1,71 +1,14 @@
-"""Per-connection session state: isolated id namespaces.
+"""Per-connection session construction for the async server.
 
-Several process-wide ``itertools.count`` counters leak into marshalled
-frame *sizes* (call ids, session names, scheduler/module ids inside
-per-pattern session strings), and frame sizes feed the virtual-clock
-network model.  The parallel layer solved this for worker *processes*
-with :func:`repro.parallel.scenarios.reset_session_state`; a
-multi-tenant server needs the same guarantee for concurrent
-*connections* inside one process.
-
-:data:`COUNTER_SITES` is the single authoritative list of those
-counters -- ``reset_session_state`` iterates it too, so the farm's
-reset machinery and the async server's session isolation can never
-drift apart.  A :class:`SessionState` owns one fresh counter per site.
-
-Two gates install a session's counters, matching the server's two
-in-process dispatch tiers:
-
-* :class:`IsolationGate` (the ``gate`` tier) swaps the counters into
-  the module globals around each dispatch, under one process-wide
-  lock.  Simple and dependency-free, but it serializes *every*
-  isolated dispatch -- one slow tenant stalls all of them.
-* :class:`SessionGate` (the ``affinity`` tier) never touches the
-  module globals at dispatch time.  Instead
-  :func:`install_site_proxies` replaces each site once with a
-  :class:`_SiteProxy` whose ``next()`` resolves through a
-  *thread-local* binding, and the per-session gate binds the session's
-  counters to the calling thread only.  Independent sessions hold
-  independent locks and dispatch on their own threads, so tenants
-  never queue on each other while still observing ids 1, 2, 3, ...
-  exactly as if each were alone in a fresh process.
-
-Scope note: the namespaces are swapped only around *server-side*
-dispatch.  Client stacks living in the same interpreter (in-process
-tests) allocate ids outside the gates, exactly as they would in a
-separate client process.
+A session's ids come from its connection's
+:class:`~repro.core.ids.IdSpace`, which the dispatch tier binds around
+every dispatch; this module only builds the session itself.
 """
 
 from __future__ import annotations
 
-import contextlib
-import importlib
 import inspect
-import itertools
-import threading
-from typing import (Callable, Dict, Iterator, List, Optional, Tuple,
-                    TypeVar)
-
-CounterSite = Tuple[str, str]
-
-COUNTER_SITES: Tuple[CounterSite, ...] = (
-    ("repro.rmi.protocol", "_call_ids"),
-    ("repro.ip.component", "_session_ids"),
-    ("repro.ip.negotiation", "_session_counter"),
-    # Scheduler/module ids are marshalled into per-pattern session
-    # names ("session1.s9"), so a stale counter changes frame sizes.
-    ("repro.core.scheduler", "_scheduler_ids"),
-    ("repro.core.module", "_module_ids"),
-    # Connector auto-names ("n7") reach the wire through wiring error
-    # messages; error replies marshal str(exc), so frame sizes shift.
-    ("repro.core.connector", "_connector_ids"),
-)
-"""Every process-wide id counter whose value leaks into frame sizes.
-
-Shared by :func:`repro.parallel.scenarios.reset_session_state` (which
-rewinds them in a forked worker) and :class:`SessionState` (which
-gives each server connection a private set)."""
-
+from typing import Callable, TypeVar
 
 _T = TypeVar("_T")
 
@@ -90,192 +33,3 @@ def call_session_factory(factory: Callable[..., _T],
                 or parameter.name == "session_id":
             return factory(session_id=session_id)
     return factory()
-
-
-class SessionState:
-    """One tenant's private id namespaces, persistent across calls.
-
-    Counters advance in place while swapped in, so a session's second
-    dispatch continues where its first left off -- the sequence a
-    fresh single-tenant process would produce.
-    """
-
-    def __init__(self) -> None:
-        self.counters: Dict[CounterSite, "itertools.count"] = {
-            site: itertools.count(1) for site in COUNTER_SITES}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SessionState({len(self.counters)} namespaces)"
-
-
-class _SiteProxy:
-    """Stand-in installed at a counter site: per-thread indirection.
-
-    ``next()`` on the proxy consumes from the counter bound to the
-    *calling thread* (a :class:`SessionGate` binds one around each
-    dispatch), falling back to the process-wide counter for unbound
-    threads.  Concurrently-active sessions therefore draw ids from
-    their own namespaces with no shared lock -- the module global is
-    rebound exactly once, at :func:`install_site_proxies` time.
-    """
-
-    def __init__(self, fallback: "itertools.count") -> None:
-        self.fallback = fallback
-        self._local = threading.local()
-
-    def bind(self, counter: "itertools.count") -> None:
-        self._local.counter = counter
-
-    def unbind(self) -> None:
-        self._local.counter = None
-
-    def __iter__(self) -> "_SiteProxy":
-        return self
-
-    def __next__(self) -> int:
-        counter: Optional["itertools.count"] = getattr(
-            self._local, "counter", None)
-        if counter is None:
-            counter = self.fallback
-        return next(counter)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        bound = getattr(self._local, "counter", None) is not None
-        return f"_SiteProxy(bound={bound})"
-
-
-_proxies: Dict[CounterSite, _SiteProxy] = {}
-_proxy_lock = threading.Lock()
-# Install refcount, only ever touched under _proxy_lock; its value is
-# process bookkeeping and never reaches marshalled bytes.
-_proxy_refs = 0  # lint: allow(JCD014)
-
-
-def install_site_proxies() -> None:
-    """Install thread-local proxies at every counter site (refcounted).
-
-    Affinity-tier servers call this at startup so concurrently-active
-    sessions can bind their counters to their own dispatch threads;
-    each call must be paired with one :func:`uninstall_site_proxies`,
-    and the plain counters come back when the last installer leaves.
-    Unbound threads keep consuming the original counters through the
-    proxy's fallback, so code outside any session never notices the
-    installation.
-    """
-    global _proxy_refs
-    with _proxy_lock:
-        if _proxy_refs == 0:
-            for site in COUNTER_SITES:
-                module_name, attr = site
-                module = importlib.import_module(module_name)
-                proxy = _SiteProxy(getattr(module, attr))
-                _proxies[site] = proxy
-                setattr(module, attr, proxy)
-        _proxy_refs += 1
-
-
-def uninstall_site_proxies() -> None:
-    """Drop one install reference; restore plain counters at zero."""
-    global _proxy_refs
-    with _proxy_lock:
-        if _proxy_refs == 0:
-            return
-        _proxy_refs -= 1
-        if _proxy_refs:
-            return
-        for site, proxy in _proxies.items():
-            module_name, attr = site
-            module = importlib.import_module(module_name)
-            # reset_session_state (in a forked worker) may have
-            # replaced the site wholesale; restore only our own proxy.
-            if getattr(module, attr, None) is proxy:
-                setattr(module, attr, proxy.fallback)
-        _proxies.clear()
-
-
-class SessionGate:
-    """Per-session dispatch gate over thread-bound counters.
-
-    ``with gate.isolated():`` binds the session's counters to the
-    calling thread through the installed :class:`_SiteProxy` objects
-    and unbinds them afterwards.  The lock is *per session*: it only
-    serializes this session against itself (the affinity tier's
-    single-thread executors already guarantee that), so two tenants'
-    dispatches run truly concurrently on their own threads.
-
-    Requires :func:`install_site_proxies`; entering the gate without
-    the proxies raises ``RuntimeError`` rather than silently sharing
-    the global namespace.
-    """
-
-    def __init__(self, state: SessionState) -> None:
-        self.state = state
-        self._lock = threading.Lock()
-
-    @contextlib.contextmanager
-    def isolated(self) -> Iterator[None]:
-        with self._lock:
-            bound: List[_SiteProxy] = []
-            try:
-                for site in COUNTER_SITES:
-                    proxy = _proxies.get(site)
-                    if proxy is None:
-                        raise RuntimeError(
-                            f"no site proxy installed at {site}; call "
-                            f"install_site_proxies() before using a "
-                            f"SessionGate")
-                    proxy.bind(self.state.counters[site])
-                    bound.append(proxy)
-                yield
-            finally:
-                for proxy in bound:
-                    proxy.unbind()
-
-
-class IsolationGate:
-    """Swaps a session's counters into the module globals, serialized.
-
-    ``with gate.isolated(state):`` installs ``state``'s counters,
-    runs the block, then restores the previous globals.  The lock
-    makes the swap-run-restore sequence atomic across threads, which
-    is what keeps two tenants' dispatches from consuming each other's
-    ids -- and is also why this gate caps the server at one isolated
-    dispatch at a time (the ``gate`` tier; see :class:`SessionGate`
-    for the concurrent alternative).
-
-    When a site currently holds a :class:`_SiteProxy` (an affinity
-    server is live in the same process), the gate swaps the proxy's
-    *fallback* instead of the module global, so affinity sessions'
-    thread bindings remain untouched while gate-tier threads still see
-    the session's counters.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-
-    @contextlib.contextmanager
-    def isolated(self, state: SessionState) -> Iterator[None]:
-        with self._lock:
-            # The swap loop runs inside the try: a failure mid-swap
-            # (unimportable site module, missing attribute) must still
-            # restore every counter already swapped in, or the
-            # session's counters leak into the module globals forever.
-            saved: List[Tuple[object, Optional[str], object]] = []
-            try:
-                for site in COUNTER_SITES:
-                    module_name, attr = site
-                    module = importlib.import_module(module_name)
-                    current = getattr(module, attr)
-                    if isinstance(current, _SiteProxy):
-                        saved.append((current, None, current.fallback))
-                        current.fallback = state.counters[site]
-                    else:
-                        saved.append((module, attr, current))
-                        setattr(module, attr, state.counters[site])
-                yield
-            finally:
-                for target, attr, counter in reversed(saved):
-                    if attr is None:
-                        target.fallback = counter  # type: ignore[attr-defined]
-                    else:
-                        setattr(target, attr, counter)

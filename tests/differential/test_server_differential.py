@@ -178,7 +178,7 @@ class TestDispatchTiers:
     match their own fresh-process baselines.
     """
 
-    @pytest.mark.parametrize("tier", ["gate", "affinity", "process"])
+    @pytest.mark.parametrize("tier", ["thread", "process"])
     def test_tier_matches_fresh_process_serial(self, tier):
         bench = "figure4"
         _netlist, pattern_set = campaign(bench)
@@ -195,7 +195,7 @@ class TestDispatchTiers:
         assert fingerprint == baseline, (
             f"dispatch tier {tier!r} diverged from the serial baseline")
 
-    @pytest.mark.parametrize("tier", ["affinity", "process"])
+    @pytest.mark.parametrize("tier", ["thread", "process"])
     def test_concurrent_tenants_match_their_baselines(self, tier):
         campaigns = {
             "tenant-a": ("figure4", campaign("figure4", seed=3)[1]),

@@ -1,4 +1,4 @@
-"""Seeded concurrency defects for the JCD014-JCD019 analyzers.
+"""Seeded concurrency defects for the JCD014-JCD018 analyzers.
 
 Every construct here violates exactly one contract the concurrency
 rules exist to catch; the test suite (and the CI lint job) asserts
@@ -19,15 +19,9 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from repro.server.dispatch import ProcessDispatcher
 
-# JCD019: this inventory entry names an attribute the module does not
-# define -- the stale-site defect.
-COUNTER_SITES = (
-    ("tests.lint.concurrency_fixtures", "_vanished_ids"),
-)
-
-# JCD014: a module-level id counter consumed from a dispatch-reachable
-# method (SeededFarmServant.begin below) but missing from the
-# COUNTER_SITES inventory.
+# JCD014: a module-level id counter outside the id-space module,
+# consumed from a dispatch-reachable method (SeededFarmServant.begin
+# below).
 _rogue_ids = itertools.count(1)
 
 # JCD017 target: module-level mutable state written on a dispatch path

@@ -1,4 +1,4 @@
-"""Concurrency rules JCD014-JCD019: firing, scoping, waivers."""
+"""Concurrency rules JCD014-JCD018: firing, scoping, waivers."""
 
 import os
 
@@ -44,20 +44,19 @@ _frame_ids = itertools.count(1)
         assert "_frame_ids" in findings[0].message
 
     def test_declared_counter_passes(self):
-        findings = lint_one("repro.fake", self.consumer + """
+        # Declared in the id-space module, where ids belong.
+        findings = lint_one("repro.core.ids", self.consumer + """
 import itertools
 _frame_ids = itertools.count(1)
-COUNTER_SITES = (("repro.fake", "_frame_ids"),)
 """)
         assert findings == []
 
-    def test_declaration_in_another_module_counts(self):
+    def test_the_message_points_at_the_id_space(self):
         findings = lint_one("repro.fake", self.consumer + """
 import itertools
 _frame_ids = itertools.count(1)
-""", **{"repro.inventory":
-        'COUNTER_SITES = (("repro.fake", "_frame_ids"),)\n'})
-        assert findings == []
+""")
+        assert "repro.core.ids.IdSpace" in findings[0].message
 
     def test_unreachable_counter_passes(self):
         findings = lint_one("repro.fake", """
@@ -315,47 +314,15 @@ class LocalOnly:
         assert findings == []
 
 
-class TestJCD019StaleSite:
-    def test_vanished_attribute_fires(self):
-        findings = lint_one("repro.fake", """
-COUNTER_SITES = (("repro.fake", "_gone_ids"),)
-""")
-        assert codes(findings) == ["JCD019"]
-        assert "_gone_ids" in findings[0].message
-
-    def test_attribute_that_stopped_counting_fires(self):
-        findings = lint_one("repro.fake", """
-_gone_ids = "retired"
-COUNTER_SITES = (("repro.fake", "_gone_ids"),)
-""")
-        assert codes(findings) == ["JCD019"]
-        assert "no longer an" in findings[0].message
-
-    def test_live_site_passes(self):
-        findings = lint_one("repro.fake", """
-import itertools
-
-_live_ids = itertools.count(1)
-COUNTER_SITES = (("repro.fake", "_live_ids"),)
-""")
-        assert findings == []
-
-    def test_module_outside_the_sweep_is_not_judged(self):
-        findings = lint_one("repro.fake", """
-COUNTER_SITES = (("repro.elsewhere", "_ids"),)
-""")
-        assert findings == []
-
-
 class TestRealTreeAndFixtures:
     def test_src_repro_sweeps_clean(self):
         package_dir = os.path.dirname(repro.__file__)
         assert lint_concurrency([package_dir]) == []
 
-    def test_seeded_fixtures_trip_all_six_codes(self):
+    def test_seeded_fixtures_trip_all_five_codes(self):
         findings = lint_concurrency([FIXTURES, SEEDED_SERVER])
         assert codes(findings) == ["JCD014", "JCD015", "JCD016",
-                                   "JCD017", "JCD018", "JCD019"]
+                                   "JCD017", "JCD018"]
 
     def test_guarded_fixture_mutation_is_not_reported(self):
         findings = lint_concurrency([FIXTURES])

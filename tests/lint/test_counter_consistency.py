@@ -1,35 +1,26 @@
-"""Meta-test: COUNTER_SITES, reset_session_state and JCD014 agree.
+"""Meta-test: the waived counters and the JCD014 discovery agree.
 
-Three artifacts describe the same set of process-wide counters:
-
-* ``repro.server.session.COUNTER_SITES`` -- the hand-maintained
-  inventory the per-session isolation gate and the worker reset act on;
-* ``repro.parallel.scenarios.reset_session_state`` -- rewinds every
-  inventoried site in a freshly forked worker;
-* the JCD014 call-graph discovery -- finds every module-level counter
-  in ``src/repro`` mechanically.
-
-If they drift apart, a counter either leaks across sessions untouched
-by the gate (inventory too small) or the JCD019 rule starts lying
-about stale entries (inventory too big).  This test pins the three
-views to each other.
+The ids that reach marshalled bytes live in ``repro.core.ids.IdSpace``,
+bound per session.  Every module-level counter left in ``src/repro``
+must be one of the adjudicated waivers below, and the JCD014 sweep
+(which honours the inline waiver comments) must find nothing else.
 """
 
-import importlib
 import itertools
 import os
 
 import repro
+from repro.core import ids
 from repro.lint.callgraph import CallGraph
 from repro.lint.concurrency import lint_call_graph
 from repro.parallel.scenarios import reset_session_state
-from repro.server.session import COUNTER_SITES
 
 ADJUDICATED_WAIVERS = frozenset({
-    # Waived with inline comments rather than inventoried: the wire
-    # paths pass explicit names / opaque nonces, so their values never
-    # shape marshalled bytes.  tests/lint/test_counter_adjudication.py
-    # proves that differentially.
+    # Waived with inline comments rather than moved into the IdSpace:
+    # the wire paths pass explicit names / opaque nonces, so their
+    # values never shape marshalled bytes.
+    # tests/lint/test_counter_adjudication.py proves that
+    # differentially.
     ("repro.estimation.setup", "_setup_ids"),
     ("repro.parallel.remote", "_pool_nonces"),
     # Repr-only: token ids appear in debugging reprs, never on the
@@ -49,12 +40,11 @@ def real_tree_graph():
 
 
 class TestInventoryAgainstDiscovery:
-    def test_every_inventoried_site_is_discovered(self):
+    def test_only_waived_counters_are_module_level(self):
         discovered = real_tree_graph().discovered_sites()
-        missing = set(COUNTER_SITES) - discovered
-        assert missing == set(), (
-            f"COUNTER_SITES entries the JCD014 discovery cannot see "
-            f"(stale inventory?): {sorted(missing)}")
+        assert discovered == ADJUDICATED_WAIVERS, (
+            f"module-level counters outside the waiver list: "
+            f"{sorted(discovered - ADJUDICATED_WAIVERS)}")
 
     def test_adjudicated_waivers_are_still_real_counters(self):
         discovered = real_tree_graph().discovered_sites()
@@ -64,41 +54,41 @@ class TestInventoryAgainstDiscovery:
             f"comment and this entry: {sorted(gone)}")
 
     def test_every_discovered_counter_is_accounted_for(self):
-        # Inventory + adjudicated waivers must cover the discovered
-        # set; the lint sweep itself (JCD014, which also honours the
-        # inline waiver comments) must agree there is nothing left.
+        # The lint sweep itself (JCD014, which also honours the inline
+        # waiver comments) must agree there is nothing left.
         findings = [item for item in lint_call_graph(real_tree_graph())
                     if item.code == "JCD014"]
         assert findings == []
 
-    def test_no_stale_inventory_entries(self):
-        findings = [item for item in lint_call_graph(real_tree_graph())
-                    if item.code == "JCD019"]
-        assert findings == []
-
 
 class TestResetCoversTheInventory:
+    """The id inventory is ``IdSpace.__slots__``; the worker reset
+    must rewind every id in it."""
+
     def test_reset_rewinds_every_site(self):
-        # Advance every inventoried counter, reset, and check each one
-        # hands out 1 again.
-        for module_name, attr in COUNTER_SITES:
-            module = importlib.import_module(module_name)
-            counter = getattr(module, attr)
+        # Advance every id of the process-default space, reset, and
+        # check each one hands out 1 again.
+        for site in ids.IdSpace.__slots__:
+            counter = getattr(ids.current(), site)
             assert isinstance(counter, type(itertools.count())), (
-                f"{module_name}.{attr} is not an itertools.count")
+                f"IdSpace.{site} is not an itertools.count")
             for _ in range(10):
                 next(counter)
         reset_session_state()
-        for module_name, attr in COUNTER_SITES:
-            module = importlib.import_module(module_name)
-            assert next(getattr(module, attr)) == 1, (
-                f"reset_session_state left {module_name}.{attr} "
-                f"advanced")
+        for site in ids.IdSpace.__slots__:
+            assert next(getattr(ids.current(), site)) == 1, (
+                f"reset_session_state left IdSpace.{site} advanced")
         reset_session_state()
 
     def test_inventory_is_importable_and_unique(self):
-        assert len(set(COUNTER_SITES)) == len(COUNTER_SITES)
-        for module_name, attr in COUNTER_SITES:
-            module = importlib.import_module(module_name)
-            assert hasattr(module, attr), (
-                f"{module_name}.{attr} missing at runtime")
+        sites = ids.IdSpace.__slots__
+        assert len(set(sites)) == len(sites)
+        space = ids.IdSpace()
+        for site in sites:
+            assert hasattr(space, site), f"IdSpace.{site} missing"
+        # None of the inventoried ids is also kept as a module-level
+        # counter somewhere in the tree.
+        discovered = {attr for _module, attr
+                      in real_tree_graph().discovered_sites()}
+        assert discovered.isdisjoint(
+            {f"_{site}" for site in sites} | set(sites))

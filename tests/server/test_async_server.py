@@ -7,8 +7,8 @@ import time
 
 import pytest
 
+from repro.core import ids
 from repro.core.errors import RemoteError
-from repro.ip import component
 from repro.rmi import (JavaCADServer, RemoteStub, TcpTransport,
                        client_ssl_context, server_ssl_context,
                        wrap_transport)
@@ -36,10 +36,10 @@ class Echo:
 
 
 class SessionIds:
-    """Exposes one of the global id counters the gate isolates."""
+    """Exposes one of the ids each session draws from its own space."""
 
     def next_session_id(self):
-        return next(component._session_ids)
+        return next(ids.current().session_ids)
 
 
 def echo_session():
@@ -417,28 +417,13 @@ class TestSessionIsolation:
             assert not failures
             assert results == [[1, 2, 3]] * clients
 
-    def test_isolation_off_shares_the_global_namespace(self):
-        import itertools
-        saved = component._session_ids
-        component._session_ids = itertools.count(1)
-        try:
-            with running(isolate_sessions=False) as (_s, host, port):
-                with connected(host, port) as first:
-                    assert first.invoke("ids", "next_session_id",
-                                        (), {}) == 1
-                with connected(host, port) as second:
-                    assert second.invoke("ids", "next_session_id",
-                                         (), {}) == 2
-        finally:
-            component._session_ids = saved
-
     def test_isolation_does_not_leak_into_the_parent(self):
-        before = next(component._session_ids)
+        before = next(ids.current().session_ids)
         with running() as (_server, host, port):
             with connected(host, port) as transport:
                 for _ in range(5):
                     transport.invoke("ids", "next_session_id", (), {})
-        after = next(component._session_ids)
+        after = next(ids.current().session_ids)
         assert after == before + 1  # tenant ids never touched ours
 
 

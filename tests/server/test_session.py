@@ -1,207 +1,112 @@
-"""Session isolation: COUNTER_SITES, SessionState, the gates."""
+"""Session isolation: per-session id spaces and how they are bound."""
 
-import importlib
-import itertools
 import threading
 
 import pytest
 
+from repro.core import ids
 from repro.parallel.scenarios import reset_session_state
-from repro.server import (COUNTER_SITES, IsolationGate, SessionGate,
-                          SessionState, install_site_proxies,
-                          uninstall_site_proxies)
+
+ID_SITES = ("call_ids", "session_ids", "negotiation_ids",
+            "scheduler_ids", "module_ids", "connector_ids")
 
 
 @pytest.fixture
-def preserved_counters():
-    """Snapshot and restore the process-global counters around a test."""
-    saved = {}
-    for module_name, attr in COUNTER_SITES:
-        module = importlib.import_module(module_name)
-        saved[(module_name, attr)] = getattr(module, attr)
-    yield saved
-    for (module_name, attr), counter in saved.items():
-        setattr(importlib.import_module(module_name), attr, counter)
+def private_default(monkeypatch):
+    """A throwaway process-default space, restored after the test."""
+    monkeypatch.setattr(ids, "_process_default", ids.IdSpace())
 
 
-def _site_value(site):
-    module_name, attr = site
-    return getattr(importlib.import_module(module_name), attr)
+def draw(site, count=1):
+    return [next(getattr(ids.current(), site)) for _ in range(count)]
 
 
 class TestCounterSites:
     def test_every_site_exists_and_counts(self):
-        for site in COUNTER_SITES:
-            counter = _site_value(site)
-            assert isinstance(counter, type(itertools.count())), site
+        space = ids.IdSpace()
+        for site in ID_SITES:
+            assert [next(getattr(space, site)) for _ in range(3)] \
+                == [1, 2, 3], site
 
     def test_the_known_leak_sites_are_covered(self):
-        # The exhaustive list the parallel layer has always reset; a
-        # new id counter that leaks into frame sizes must be added
-        # HERE, not just in reset_session_state.
-        assert set(COUNTER_SITES) == {
-            ("repro.rmi.protocol", "_call_ids"),
-            ("repro.ip.component", "_session_ids"),
-            ("repro.ip.negotiation", "_session_counter"),
-            ("repro.core.scheduler", "_scheduler_ids"),
-            ("repro.core.module", "_module_ids"),
-            ("repro.core.connector", "_connector_ids"),
-        }
+        # Every id that reaches marshalled bytes; a new one must be
+        # added to the IdSpace, not kept as a module-level counter.
+        assert ids.IdSpace.__slots__ == ID_SITES
 
     def test_reset_session_state_rewinds_every_site(
-            self, preserved_counters):
-        for site in COUNTER_SITES:
-            next(_site_value(site))  # advance away from 1
+            self, private_default):
+        for site in ID_SITES:
+            draw(site, 2)  # advance away from 1
         reset_session_state()
-        for site in COUNTER_SITES:
-            assert next(_site_value(site)) == 1, site
+        for site in ID_SITES:
+            assert draw(site) == [1], site
 
 
-class TestSessionState:
-    def test_fresh_namespaces_start_at_one(self):
-        state = SessionState()
-        assert set(state.counters) == set(COUNTER_SITES)
-        for site in COUNTER_SITES:
-            assert next(state.counters[site]) == 1
+class TestIdSpace:
+    def test_fresh_spaces_start_at_one(self):
+        space = ids.IdSpace()
+        for site in ID_SITES:
+            assert next(getattr(space, site)) == 1
 
-    def test_states_are_independent(self):
-        first, second = SessionState(), SessionState()
-        site = COUNTER_SITES[0]
-        assert [next(first.counters[site]) for _ in range(3)] == [1, 2, 3]
-        assert next(second.counters[site]) == 1
+    def test_spaces_are_independent(self):
+        first, second = ids.IdSpace(), ids.IdSpace()
+        assert [next(first.call_ids) for _ in range(3)] == [1, 2, 3]
+        assert next(second.call_ids) == 1
 
 
-class TestIsolationGate:
-    def test_swaps_and_restores_globals(self, preserved_counters):
-        gate = IsolationGate()
-        state = SessionState()
-        site = COUNTER_SITES[0]
-        outside_before = _site_value(site)
-        with gate.isolated(state):
-            assert _site_value(site) is state.counters[site]
-            assert next(_site_value(site)) == 1
-        assert _site_value(site) is outside_before
+class TestUseSpace:
+    def test_binds_and_restores(self, private_default):
+        outside = ids.current()
+        space = ids.IdSpace()
+        with ids.use_space(space):
+            assert ids.current() is space
+            assert draw("call_ids") == [1]
+        assert ids.current() is outside
 
-    def test_session_sequences_resume_across_entries(
-            self, preserved_counters):
-        gate = IsolationGate()
-        state = SessionState()
-        site = COUNTER_SITES[0]
-        with gate.isolated(state):
-            assert next(_site_value(site)) == 1
-        with gate.isolated(state):
-            assert next(_site_value(site)) == 2
+    def test_session_sequences_resume_across_entries(self):
+        space = ids.IdSpace()
+        with ids.use_space(space):
+            assert draw("session_ids") == [1]
+        with ids.use_space(space):
+            assert draw("session_ids") == [2]
 
-    def test_two_tenants_each_see_fresh_process_ids(
-            self, preserved_counters):
-        gate = IsolationGate()
-        tenants = [SessionState(), SessionState()]
-        site = COUNTER_SITES[0]
+    def test_two_tenants_each_see_fresh_process_ids(self):
+        tenants = [ids.IdSpace(), ids.IdSpace()]
         seen = {0: [], 1: []}
         for _ in range(3):
-            for tenant, state in enumerate(tenants):
-                with gate.isolated(state):
-                    seen[tenant].append(next(_site_value(site)))
-        assert seen[0] == [1, 2, 3]
-        assert seen[1] == [1, 2, 3]
+            for tenant, space in enumerate(tenants):
+                with ids.use_space(space):
+                    seen[tenant] += draw("module_ids")
+        assert seen == {0: [1, 2, 3], 1: [1, 2, 3]}
 
-    def test_restores_on_exception(self, preserved_counters):
-        gate = IsolationGate()
-        state = SessionState()
-        site = COUNTER_SITES[0]
-        outside_before = _site_value(site)
+    def test_restores_on_exception(self, private_default):
+        outside = ids.current()
         with pytest.raises(RuntimeError):
-            with gate.isolated(state):
+            with ids.use_space(ids.IdSpace()):
                 raise RuntimeError("servant fault")
-        assert _site_value(site) is outside_before
+        assert ids.current() is outside
 
-    def test_failed_swap_restores_already_swapped_counters(
-            self, preserved_counters, monkeypatch):
-        # Regression: the swap loop used to run before the try, so a
-        # site that fails to resolve mid-loop leaked every counter
-        # already swapped in.  Poison the LAST entry so all real sites
-        # are swapped before the failure.
-        import repro.server.session as session_module
+    def test_binding_is_local_to_the_calling_thread(self,
+                                                    private_default):
+        seen = []
+        with ids.use_space(ids.IdSpace()):
+            draw("call_ids", 5)
+            other = threading.Thread(
+                target=lambda: seen.extend(draw("call_ids")))
+            other.start()
+            other.join()
+        # The other thread drew from the process default, untouched
+        # by the binding here.
+        assert seen == [1]
 
-        poisoned = COUNTER_SITES + (("repro.no_such_module", "_x"),)
-        monkeypatch.setattr(session_module, "COUNTER_SITES", poisoned)
-        gate = IsolationGate()
-        state = SessionState()
-        # SessionState() above used the real sites; give the state the
-        # poisoned site too so the failure is the import, not the dict.
-        state.counters[poisoned[-1]] = itertools.count(1)
-        before = {site: _site_value(site) for site in COUNTER_SITES}
-        with pytest.raises(ModuleNotFoundError):
-            with gate.isolated(state):
-                pass  # pragma: no cover - swap fails before the body
-        for site in COUNTER_SITES:
-            assert _site_value(site) is before[site], site
-
-
-class TestSiteProxies:
-    def test_install_is_refcounted(self, preserved_counters):
-        site = COUNTER_SITES[0]
-        plain = _site_value(site)
-        install_site_proxies()
-        install_site_proxies()
-        proxy = _site_value(site)
-        assert proxy is not plain
-        uninstall_site_proxies()
-        assert _site_value(site) is proxy  # one ref still held
-        uninstall_site_proxies()
-        assert _site_value(site) is plain
-
-    def test_unbound_threads_fall_through_to_the_global_counter(
-            self, preserved_counters):
-        site = COUNTER_SITES[0]
-        before = next(_site_value(site))
-        install_site_proxies()
-        try:
-            assert next(_site_value(site)) == before + 1
-        finally:
-            uninstall_site_proxies()
-        assert next(_site_value(site)) == before + 2
-
-    def test_extra_uninstall_is_harmless(self, preserved_counters):
-        uninstall_site_proxies()  # no install outstanding
-        for site in COUNTER_SITES:
-            assert isinstance(_site_value(site),
-                              type(itertools.count())), site
-
-
-class TestSessionGate:
-    @pytest.fixture
-    def proxied(self, preserved_counters):
-        install_site_proxies()
-        yield
-        uninstall_site_proxies()
-
-    def test_requires_installed_proxies(self, preserved_counters):
-        gate = SessionGate(SessionState())
-        with pytest.raises(RuntimeError, match="install_site_proxies"):
-            with gate.isolated():
-                pass  # pragma: no cover - gate refuses entry
-
-    def test_binds_session_counters_to_this_thread(self, proxied):
-        gate = SessionGate(SessionState())
-        site = COUNTER_SITES[0]
-        with gate.isolated():
-            assert [next(_site_value(site)) for _ in range(3)] \
-                == [1, 2, 3]
-        with gate.isolated():
-            assert next(_site_value(site)) == 4
-
-    def test_concurrent_sessions_draw_independent_ids(self, proxied):
-        site = COUNTER_SITES[0]
+    def test_concurrent_sessions_draw_independent_ids(self):
         barrier = threading.Barrier(2)
         seen = {}
 
         def tenant(name):
-            gate = SessionGate(SessionState())
-            with gate.isolated():
-                barrier.wait(timeout=5)  # both inside their gates
-                seen[name] = [next(_site_value(site))
-                              for _ in range(3)]
+            with ids.use_space(ids.IdSpace()):
+                barrier.wait(timeout=5)  # both bound at once
+                seen[name] = draw("scheduler_ids", 3)
 
         threads = [threading.Thread(target=tenant, args=(n,))
                    for n in ("a", "b")]
@@ -211,16 +116,21 @@ class TestSessionGate:
             thread.join()
         assert seen == {"a": [1, 2, 3], "b": [1, 2, 3]}
 
-    def test_isolation_gate_respects_live_proxies(self, proxied):
-        # A gate-tier server sharing the process with an affinity
-        # server must swap the proxy's fallback, not evict the proxy.
-        site = COUNTER_SITES[0]
-        proxy = _site_value(site)
-        gate = IsolationGate()
-        state = SessionState()
-        with gate.isolated(state):
-            assert _site_value(site) is proxy
-            assert next(_site_value(site)) == 1
-        assert _site_value(site) is proxy
-        with gate.isolated(state):
-            assert next(_site_value(site)) == 2
+    def test_reset_leaves_bound_spaces_alone(self, private_default):
+        space = ids.IdSpace()
+        with ids.use_space(space):
+            draw("call_ids", 3)
+            reset_session_state()
+            assert draw("call_ids") == [4]
+        assert draw("call_ids") == [1]
+
+    def test_unbound_threads_draw_from_the_process_default(
+            self, private_default):
+        before = draw("call_ids")[0]
+        seen = []
+        worker = threading.Thread(
+            target=lambda: seen.extend(draw("call_ids")))
+        worker.start()
+        worker.join()
+        assert seen == [before + 1]
+        assert draw("call_ids") == [before + 2]
